@@ -1,9 +1,10 @@
 """Command-line front end: check, run, and bench interaction-net files.
 
 Exit codes: 0 success / normal form, 1 parse or validation failure,
-2 step limit reached, 3 stuck pair under --strict-rules. Residuals go
-to stdout; diagnostics, traces, and bench noise stay on stderr or in
-clearly separated fields so output remains pipeable.
+a bad flag value or an unwritable --stats path, 2 step limit reached,
+3 stuck pair under --strict-rules. Residuals go to stdout; diagnostics,
+traces, and bench noise stay on stderr or in clearly separated fields
+so output remains pipeable.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import engine
@@ -53,12 +55,18 @@ def _resolve_net(system, name):
              + ", ".join(repr(n) for n in system.nets))
         return None
     default = system.default_net_name()
-    if default is None and len(system.nets) == 1:
-        return ""  # a single anonymous net
     if default is None:
         _err(f"file defines {len(system.nets)} nets; pass --net NAME")
         return None
     return default
+
+
+def _flags_ok(args):
+    """False after printing a complaint about an out-of-range number flag."""
+    if args.max_steps is not None and args.max_steps < 0:
+        _err("--max-steps must be at least 0")
+        return False
+    return True
 
 
 def _cmd_check(args) -> int:
@@ -78,28 +86,36 @@ def _run_once(system, net_name, args, trace=False):
 
 
 def _cmd_run(args) -> int:
+    if not _flags_ok(args):
+        return 1
     system = _load_system(args.file)
     if system is None:
         return 1
     net_name = _resolve_net(system, args.net)
     if net_name is None:
         return 1
+    # Open the stats file before reducing, so a bad path fails fast and
+    # leaves stdout empty.
     try:
-        result = _run_once(system, net_name, args, trace=args.trace)
-    except UnknownNetError as exc:
-        _err(str(exc))
+        stats_out = open(args.stats, "w", encoding="utf-8") if args.stats else None
+    except OSError as exc:
+        _err(f"{args.stats}: {exc.strerror or exc}")
         return 1
+    with stats_out or nullcontext():
+        try:
+            result = _run_once(system, net_name, args, trace=args.trace)
+        except UnknownNetError as exc:
+            _err(str(exc))
+            return 1
 
-    if args.trace:
-        for line in result.trace:
-            print(line, file=sys.stderr)
-    text = format_config(result.residual, canon=args.canon)
-    if text:
-        print(text)
-    if args.stats:
-        Path(args.stats).write_text(
-            stats_json(result.stats, result) + "\n", encoding="utf-8"
-        )
+        if args.trace:
+            for line in result.trace:
+                print(line, file=sys.stderr)
+        text = format_config(result.residual, canon=args.canon)
+        if text:
+            print(text)
+        if stats_out is not None:
+            stats_out.write(stats_json(result.stats, result) + "\n")
     if result.status == "stuck":
         a, b = result.stuck_pair
         _err(f"stuck: no rule for needed pair {a}><{b}")
@@ -111,6 +127,8 @@ def _cmd_run(args) -> int:
 def _cmd_bench(args) -> int:
     if args.repeat < 1:
         _err("--repeat must be at least 1")
+        return 1
+    if not _flags_ok(args):
         return 1
     system = _load_system(args.file)
     if system is None:
@@ -137,12 +155,14 @@ def _cmd_bench(args) -> int:
     steps_seen = sorted({r.stats.steps for r in results})
     total_steps = sum(r.stats.steps for r in results)
     max_ops = max(r.stats.max_ops_per_step for r in results)
+    max_reads = max(r.stats.max_reads_per_step for r in results)
     first = results[0].stats
     print(f"runs={args.repeat} net={shown} mode={args.mode}")
     print(
         f"steps_per_run={','.join(map(str, steps_seen))} "
         f"interactions={first.interactions} indirections={first.indirections} "
-        f"delegations={first.delegations} max_ops_per_step={max_ops}"
+        f"delegations={first.delegations} max_ops_per_step={max_ops} "
+        f"max_reads_per_step={max_reads}"
     )
     print(f"total_steps={total_steps}")
     # Timing is the only nondeterministic output, kept on its own line.

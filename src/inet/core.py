@@ -370,20 +370,27 @@ def _term_shape(term: Term) -> str:
     return "".join(parts)
 
 
-def _match_terms(a: Term, b: Term, fwd: dict, bwd: dict) -> bool:
-    """Match two terms under a name bijection; extends fwd/bwd in place."""
+def _match_terms(a: Term, b: Term, fwd: dict, bwd: dict, trail: list) -> bool:
+    """Match two terms under a name bijection; extends fwd/bwd in place.
+
+    Each new binding's `a`-side name is appended to `trail`, so a failed
+    or abandoned match can be taken back with `_unbind`.
+    """
     stack = [(a, b)]
     while stack:
         ta, tb = stack.pop()
         if isinstance(ta, NameTerm):
             if not isinstance(tb, NameTerm):
                 return False
-            if fwd.get(ta.name, tb.name) != tb.name:
+            bound = fwd.get(ta.name)
+            if bound is None:
+                if tb.name in bwd:
+                    return False
+                fwd[ta.name] = tb.name
+                bwd[tb.name] = ta.name
+                trail.append(ta.name)
+            elif bound != tb.name:
                 return False
-            if bwd.get(tb.name, ta.name) != ta.name:
-                return False
-            fwd[ta.name] = tb.name
-            bwd[tb.name] = ta.name
         else:
             if not isinstance(tb, AgentTerm):
                 return False
@@ -395,17 +402,97 @@ def _match_terms(a: Term, b: Term, fwd: dict, bwd: dict) -> bool:
     return True
 
 
-def _match_equation(ea: Equation, eb: Equation, fwd: dict, bwd: dict) -> bool:
-    # Equations are symmetric: try both side pairings, committing the
-    # bijection only on success.
-    for la, ra in ((ea.lhs, ea.rhs), (ea.rhs, ea.lhs)):
-        f, b = dict(fwd), dict(bwd)
-        if _match_terms(la, eb.lhs, f, b) and _match_terms(ra, eb.rhs, f, b):
-            fwd.clear()
-            fwd.update(f)
-            bwd.clear()
-            bwd.update(b)
+def _unbind(fwd: dict, bwd: dict, trail: list, mark: int):
+    """Undo the bindings made since `trail` had length `mark`."""
+    while len(trail) > mark:
+        del bwd[fwd.pop(trail.pop())]
+
+
+def _shape_key(eq: Equation) -> str:
+    """Shape of an equation, the same whichever way round it is written."""
+    s1, s2 = _term_shape(eq.lhs), _term_shape(eq.rhs)
+    return min(s1 + "=" + s2, s2 + "=" + s1)
+
+
+def _equation_names(eq: Equation) -> list:
+    """Distinct names of an equation, in first-occurrence order."""
+    names = (t.name for side in (eq.lhs, eq.rhs) for t in iter_terms(side)
+             if isinstance(t, NameTerm))
+    return list(dict.fromkeys(names))
+
+
+def _holders(names_per_eq: list) -> dict:
+    """Map each name to the indices of the equations it occurs in."""
+    holders: dict = {}
+    for i, names in enumerate(names_per_eq):
+        for name in names:
+            holders.setdefault(name, []).append(i)
+    return holders
+
+
+def _components(names_per_eq: list, holders: dict) -> list:
+    """Equations linked by shared names, each component in breadth-first order.
+
+    Every equation of a component after its first shares a name with an
+    earlier one, so by the time the search reaches it that name is bound
+    and its image pins the candidates to the equations holding it.
+    """
+    seen = [False] * len(names_per_eq)
+    components = []
+    for start in range(len(names_per_eq)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        component = [start]
+        for i in component:  # grows while it is walked: a queue
+            for name in names_per_eq[i]:
+                for k in holders[name]:
+                    if not seen[k]:
+                        seen[k] = True
+                        component.append(k)
+        components.append(component)
+    return components
+
+
+def _extend(eqs_a, eqs_b, order, pool, fwd, bwd, trail) -> bool:
+    """Match each `eqs_a[i]`, i in `order`, to a distinct equation of `eqs_b`.
+
+    `pool(i)` lists the candidate indices into `eqs_b` for equation i
+    under the bindings made so far. The search backtracks depth first
+    over (candidate, side pairing) choices on an explicit stack, so it
+    never recurses; on failure every binding it made is undone.
+    """
+    taken = set()
+    # frame: [i, candidates, next choice, trail mark]. Choice c tries
+    # candidate c // 2, with the sides of `eqs_a[i]` swapped if c is odd;
+    # a frame below the top holds its last successful choice + 1.
+    frames = [[order[0], pool(order[0]), 0, len(trail)]]
+    while frames:
+        frame = frames[-1]
+        i, js, choice, mark = frame
+        if choice:
+            _unbind(fwd, bwd, trail, mark)
+            taken.discard(js[(choice - 1) // 2])
+        ea = eqs_a[i]
+        matched = False
+        while not matched and choice < 2 * len(js):
+            j = js[choice // 2]
+            la, ra = (ea.rhs, ea.lhs) if choice % 2 else (ea.lhs, ea.rhs)
+            choice += 1
+            matched = (j not in taken
+                       and _match_terms(la, eqs_b[j].lhs, fwd, bwd, trail)
+                       and _match_terms(ra, eqs_b[j].rhs, fwd, bwd, trail))
+            if not matched:
+                _unbind(fwd, bwd, trail, mark)
+        frame[2] = choice
+        if not matched:
+            frames.pop()
+            continue
+        taken.add(js[(choice - 1) // 2])
+        if len(frames) == len(order):
             return True
+        nxt = order[len(frames)]
+        frames.append([nxt, pool(nxt), 0, len(trail)])
     return False
 
 
@@ -416,38 +503,46 @@ def configs_isomorphic(a: Configuration, b: Configuration, *,
     With `ordered=False` (the default) the equations of `b` may appear
     in any order; equation sides may always be flipped, since an
     equation is an unordered connection of its two sides.
+
+    Unordered, the equations are split into components linked by shared
+    names, and each component of `a` is matched against the unmatched
+    components of `b` with the same shapes. Isomorphism is an
+    equivalence, so the first component of `b` that matches can be kept
+    without loss: the search backtracks only inside one component.
     """
-    if len(a.equations) != len(b.equations):
+    eqs_a, eqs_b = a.equations, b.equations
+    if len(eqs_a) != len(eqs_b):
         return False
+    if not eqs_a:
+        return True
+    keys_a = [_shape_key(eq) for eq in eqs_a]
+    keys_b = [_shape_key(eq) for eq in eqs_b]
     if ordered:
-        fwd: dict = {}
-        bwd: dict = {}
-        return all(
-            _match_equation(ea, eb, fwd, bwd)
-            for ea, eb in zip(a.equations, b.equations)
-        )
+        return keys_a == keys_b and _extend(
+            eqs_a, eqs_b, range(len(eqs_a)), lambda i: [i], {}, {}, [])
 
-    def shape_key(eq):
-        s1, s2 = _term_shape(eq.lhs), _term_shape(eq.rhs)
-        return min(s1 + "=" + s2, s2 + "=" + s1)
+    names_a = [_equation_names(eq) for eq in eqs_a]
+    names_b = [_equation_names(eq) for eq in eqs_b]
+    holders_b = _holders(names_b)
+    unmatched: dict = {}  # sorted shape keys -> components of b
+    for comp in _components(names_b, holders_b):
+        shapes = tuple(sorted(keys_b[j] for j in comp))
+        unmatched.setdefault(shapes, []).append(comp)
 
-    if Counter(map(shape_key, a.equations)) != Counter(map(shape_key, b.equations)):
-        return False
+    fwd: dict = {}
+    bwd: dict = {}
+    trail: list = []
+    for comp in _components(names_a, _holders(names_a)):
+        rivals = unmatched.get(tuple(sorted(keys_a[i] for i in comp)), [])
+        for r, comp_b in enumerate(rivals):
+            def pool(i, comp_b=comp_b):
+                bound = next((fwd[n] for n in names_a[i] if n in fwd), None)
+                js = comp_b if bound is None else holders_b[bound]
+                return [j for j in js if keys_b[j] == keys_a[i]]
 
-    eqs_b = list(b.equations)
-
-    def backtrack(i, used, fwd, bwd):
-        if i == len(a.equations):
-            return True
-        ea = a.equations[i]
-        key = shape_key(ea)
-        for j, eb in enumerate(eqs_b):
-            if j in used or shape_key(eb) != key:
-                continue
-            f, bk = dict(fwd), dict(bwd)
-            if _match_equation(ea, eb, f, bk):
-                if backtrack(i + 1, used | {j}, f, bk):
-                    return True
-        return False
-
-    return backtrack(0, frozenset(), {}, {})
+            if _extend(eqs_a, eqs_b, comp, pool, fwd, bwd, trail):
+                del rivals[r]
+                break
+        else:
+            return False
+    return True

@@ -15,10 +15,11 @@ equations) and performs one of three counted steps:
 
 Each step's mutation footprint is local (one equation, its roots, one
 rule instance, one wire partner), which is what keeps the per-step cost
-independent of configuration size. The only non-local work is the
-read-only ancestor walk used to classify degenerate wire equations;
-the instrumentation gauge counts mutations, which that walk performs
-none of.
+independent of configuration size. Classifying a wire equation also
+reads the graph: it runs a climb from the wire's partner and a walk
+through the other side in lock step, so its reads are bounded by the
+smaller of the two. Both costs are gauged per step: mutations in
+`max_ops_per_step`, classifier reads in `max_reads_per_step`.
 
 In `full` mode the queue holds every equation, needed markers are
 ignored, and reduction runs to full normal form; it serves as the
@@ -102,7 +103,7 @@ class EquationNode:
 
 @dataclass
 class Stats:
-    """Step counters plus the per-step mutation gauge.
+    """Step counters plus the per-step mutation and read gauges.
 
     `steps` is always `interactions + indirections + delegations`;
     loop removals and terminal classifications are not steps.
@@ -116,6 +117,7 @@ class Stats:
     cyclic_equations: int = 0
     observable_terminals: int = 0
     max_ops_per_step: int = 0
+    max_reads_per_step: int = 0
 
 
 @dataclass
@@ -389,20 +391,47 @@ def interact_step(net, q, rule, swapped):
                 net.queue.push(net, eq)
 
 
-def _classify_wire_equation(q, wire):
+def _classify_wire_equation(net, q, wire):
     """Where is the partner of a wire side? Decides loop/cyclic/splice.
 
-    The descendant check climbs parent links; it reads the graph but
-    mutates nothing, so it stays outside the step-cost gauge.
+    The equation is cyclic exactly when the partner lies strictly inside
+    the other side. Two read-only searches run in lock step and the
+    first to finish decides: a walk down through the other side (cyclic
+    if it meets the partner, splice if it runs out of nodes) and a climb
+    up the partner's parent links (cyclic if it reaches `q`, splice if
+    it reaches any other equation). Reads are therefore bounded by the
+    smaller of the other side's size and the partner's depth. An
+    interaction equates each old argument with a fresh template
+    instance, so for the equations it makes one of the two is usually
+    bounded by the rule's size. Each subtree node visited and each
+    parent hop counts one read toward `max_reads_per_step`.
     """
     partner = wire.partner
     other = q.rhs if wire is q.lhs else q.lhs
     if partner is other:
         return "loop"
-    owner, _ = partner.parent
-    while isinstance(owner, AgentNode):
-        owner, _ = owner.parent
-    return "cyclic" if owner is q else "splice"
+    pending = [other]
+    up = partner
+    reads = 0
+    while True:
+        node = pending.pop()
+        reads += 1
+        if node is partner:
+            kind = "cyclic"
+            break
+        if isinstance(node, AgentNode):
+            pending.extend(node.children)
+        if not pending:
+            kind = "splice"
+            break
+        up = up.parent[0]
+        reads += 1
+        if not isinstance(up, AgentNode):
+            kind = "cyclic" if up is q else "splice"
+            break
+    if reads > net.stats.max_reads_per_step:
+        net.stats.max_reads_per_step = reads
+    return kind
 
 
 def indirect_step(net, q):
@@ -464,7 +493,7 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None):
             interact_step(net, entry, rule, swapped)
             return "interaction", f"{lhs.symbol.name}><{rhs.symbol.name}"
         wire = lhs if isinstance(lhs, WireHalf) else rhs
-        kind = _classify_wire_equation(entry, wire)
+        kind = _classify_wire_equation(net, entry, wire)
         if kind == "loop":
             net.kill_node(entry.lhs)
             net.kill_node(entry.rhs)

@@ -1,4 +1,4 @@
-"""Bundled example nets plus a generator for benchmark inputs."""
+"""Bundled example nets plus generators for benchmark inputs."""
 
 from pathlib import Path
 
@@ -38,4 +38,24 @@ def delegation_chain(depth: int) -> str:
         "agent P/0\n"
         "agent T/0\n"
         f"net chain {{ {body} = T; }}\n"
+    )
+
+
+def comb(depth: int) -> str:
+    """Source for a net whose full-mode run is exactly `depth` indirections.
+
+    A binary spine `C(x1, C(x2, ... Z))` meets an inert agent with no
+    rule, and each `xi = Z` splices a leaf into the spine, where the
+    other occurrence of `xi` sits i levels down. The residual is the
+    spine with every `xi` replaced by `Z`.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    spine = "".join(f"C(x{i}, " for i in range(1, depth + 1)) + "Z" + ")" * depth
+    leaves = " ".join(f"x{i} = Z;" for i in range(1, depth + 1))
+    return (
+        "agent C/2\n"
+        "agent Z/0\n"
+        "agent T/0\n"
+        f"net comb {{ {spine} = T; {leaves} }}\n"
     )

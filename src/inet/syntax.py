@@ -386,5 +386,6 @@ def stats_json(stats, result) -> str:
         "cyclic_equations": stats.cyclic_equations,
         "observable_terminals": stats.observable_terminals,
         "max_ops_per_step": stats.max_ops_per_step,
+        "max_reads_per_step": stats.max_reads_per_step,
     }
     return json.dumps(payload, separators=(",", ":"))

@@ -16,7 +16,7 @@ from inet import (
     run,
 )
 from inet.cli import main
-from inet.fixtures import delegation_chain, fixture_path, fixture_text
+from inet.fixtures import comb, delegation_chain, fixture_path, fixture_text
 
 
 def report(name):
@@ -97,6 +97,32 @@ def test_constant_work_per_step_across_chain_depths():
         gauges.add(result.stats.max_ops_per_step)
     assert len(gauges) == 1
     report(f"constant work per step: gauge {gauges.pop()} across depths 10..10000")
+
+
+def unary_add(n, m):
+    """The bundled add rules on `S^n(Z) = Add(x, S^m(Z)); Res = x;`."""
+    def nat(k):
+        return "S(" * k + "Z" + ")" * k
+
+    rules = fixture_text("add").rsplit("net ", 1)[0]
+    return rules + f"net add {{ {nat(n)} = Add(x, {nat(m)}); Res = x; }}\n"
+
+
+def test_constant_reads_per_step_across_add_and_comb_depths():
+    """Read gauge exactly equal for n in {10,100,1000,4000} on add(n,1) and comb(n)."""
+    gauges = {"add": set(), "comb": set()}
+    for n in (10, 100, 1000, 4000):
+        for kind, source, net_name, indirections in (
+            ("add", unary_add(n, 1), "add", 2 * n + 2),
+            ("comb", comb(n), "comb", n),
+        ):
+            result = run(load(parse(source), net_name, mode="full"),
+                         EngineConfig(mode="full"))
+            assert result.status == "normal"
+            assert result.stats.indirections == indirections
+            gauges[kind].add(result.stats.max_reads_per_step)
+    assert gauges == {"add": {3}, "comb": {1}}
+    report("constant reads per step: 3 on add(n,1), 1 on comb(n), n = 10..4000")
 
 
 def test_invariant_suite_zero_violations():

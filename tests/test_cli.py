@@ -111,6 +111,22 @@ def test_run_writes_stats_file(tmp_path, capsys):
             payload["delegations"], payload["steps"]) == (5, 4, 5, 14)
 
 
+def test_run_unwritable_stats_path_is_one_line(tmp_path, capsys):
+    bad = tmp_path / "missing" / "stats.json"
+    assert main(["run", OMEGA, "--stats", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and str(bad) in err
+
+
+def test_negative_max_steps_is_rejected(capsys):
+    for command in (["run", OMEGA], ["bench", OMEGA]):
+        assert main(command + ["--max-steps", "-3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "--max-steps must be at least 0\n"
+
+
 def test_run_shuffle_seed_same_answer(capsys):
     assert main(["run", OMEGA, "--shuffle-seed", "7"]) == 0
     out, _ = capsys.readouterr()

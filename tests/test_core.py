@@ -186,3 +186,34 @@ def test_configs_isomorphic_respects_name_bijection():
     # Crossed wiring is a genuinely different net, not a renaming.
     crossed = cfg(base + "net { A(u, v) = B; A(v, u) = C; }")
     assert not configs_isomorphic(a, crossed)
+
+
+def test_configs_isomorphic_at_thousands_of_equations():
+    base = "agent A/1 agent B/0 agent D/2\n"
+    copies = cfg(base + "net { "
+                 + " ".join(f"A(x{i}) = B; x{i} = B;" for i in range(1000)) + " }")
+    renamed = cfg(base + "net { "
+                  + " ".join(f"B = y{i}; B = A(y{i});" for i in reversed(range(1000)))
+                  + " }")
+    assert len(copies) == 2000
+    assert configs_isomorphic(copies, renamed)
+
+    def ring(size, prefix, start=0):
+        return " ".join(f"D({prefix}{i % size}, {prefix}{(i + 1) % size}) = B;"
+                        for i in range(start, start + size))
+
+    one_ring = cfg(base + "net { " + ring(2000, "r") + " }")
+    rotated = cfg(base + "net { " + ring(2000, "s", start=777) + " }")
+    two_rings = cfg(base + "net { " + ring(1000, "p") + " " + ring(1000, "q") + " }")
+    assert configs_isomorphic(one_ring, rotated)
+    assert not configs_isomorphic(one_ring, two_rings)
+
+    # Same shapes everywhere; one of 1,000 components has crossed wires.
+    def pairs(crossed):
+        return cfg(base + "net { " + " ".join(
+            f"D(x{i}, y{i}) = B; D(y{i}, x{i}) = B;" if i == crossed
+            else f"D(x{i}, y{i}) = B; D(x{i}, y{i}) = B;"
+            for i in range(1000)) + " }")
+
+    assert not configs_isomorphic(pairs(None), pairs(500))
+    assert configs_isomorphic(pairs(500), pairs(3))

@@ -380,3 +380,52 @@ def test_duplicated_arity_zero_templates_are_independent(omega_system):
     result = run(net, EngineConfig(max_steps=8))
     text = format_config(result.residual)
     assert text.count("Ax") >= 2
+
+
+# The wire classifier runs a walk down the other side and a climb up from
+# the partner in lock step (visit, then hop); `max_reads_per_step` shows
+# which search decided.
+
+def _full_audited_matches_oracle(source, net_name):
+    system = parse(source)
+    result = run(load(system, net_name, mode="full"),
+                 EngineConfig(mode="full", audit=True))
+    assert result.status == "normal"
+    expected = reduce_full(system, system.get_net(net_name))
+    assert configs_isomorphic(result.residual, expected)
+    return result.stats
+
+
+def _tree(depth):
+    """A full binary tree of B agents over Z leaves: 2**(depth+1) - 1 nodes."""
+    return "Z" if depth == 0 else f"B({_tree(depth - 1)}, {_tree(depth - 1)})"
+
+
+def test_cyclic_partner_deep_on_a_path_is_found_by_the_walk():
+    depth = 300
+    source = f"agent S/1\nnet c {{ x = {'S(' * depth}x{')' * depth}; }}"
+    stats = _full_audited_matches_oracle(source, "c")
+    assert stats.cyclic_equations == 1 and stats.steps == 0
+    # depth + 1 visits reach the partner one hop before the climb
+    # would reach the equation.
+    assert stats.max_reads_per_step == 2 * depth + 1
+
+
+def test_cyclic_partner_near_the_top_of_a_wide_side_is_found_by_the_climb():
+    source = f"agent C/2 agent B/2 agent Z/0\nnet c {{ x = C(x, {_tree(8)}); }}"
+    stats = _full_audited_matches_oracle(source, "c")
+    assert stats.cyclic_equations == 1 and stats.steps == 0
+    # Two hops reach the equation while the walk is still in the tree.
+    assert stats.max_reads_per_step == 4
+
+
+@pytest.mark.parametrize("depth, reads", [
+    (100, 2 * 101),      # the climb reaches the other equation first
+    (400, 2 * 255 - 1),  # the walk runs out of the 255-node side first
+])
+def test_splice_of_a_large_side_into_a_deep_partner(depth, reads):
+    source = ("agent S/1 agent T/0 agent B/2 agent Z/0\n"
+              f"net s {{ {'S(' * depth}x{')' * depth} = T; x = {_tree(7)}; }}")
+    stats = _full_audited_matches_oracle(source, "s")
+    assert (stats.indirections, stats.observable_terminals) == (1, 1)
+    assert stats.max_reads_per_step == reads

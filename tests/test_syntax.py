@@ -146,7 +146,7 @@ def test_stats_json_schema_keys_and_values(omega_system):
     assert list(payload) == [
         "mode", "status", "interactions", "indirections", "delegations",
         "steps", "loops_removed", "cyclic_equations", "observable_terminals",
-        "max_ops_per_step",
+        "max_ops_per_step", "max_reads_per_step",
     ]
     assert payload["mode"] == "needed"
     assert payload["status"] == "normal"
@@ -162,7 +162,7 @@ def test_stats_json_empty_net():
     assert payload["status"] == "normal"
     for key in ("interactions", "indirections", "delegations", "steps",
                 "loops_removed", "cyclic_equations", "observable_terminals",
-                "max_ops_per_step"):
+                "max_ops_per_step", "max_reads_per_step"):
         assert payload[key] == 0
 
 
