@@ -21,7 +21,7 @@ from .core import (
     Signature,
     UnknownNetError,
     configs_isomorphic,
-    lookup_rule,
+    format_term,
     occurrence_count,
     validate_system,
 )
@@ -40,7 +40,6 @@ from .syntax import (
     ParseError,
     format_config,
     format_system,
-    format_term,
     parse,
     stats_json,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "format_system",
     "format_term",
     "load",
-    "lookup_rule",
     "occurrence_count",
     "parse",
     "process_entry",

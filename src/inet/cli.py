@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import engine
-from .core import UnknownNetError, validate_system
+from .core import validate_system
 from .syntax import format_config, parse, ParseError, stats_json
 
 _STATUS_EXIT = {"normal": 0, "step_limit": 2, "stuck": 3}
@@ -56,44 +56,48 @@ def _resolve_net(system, name):
         return None
     default = system.default_net_name()
     if default is None:
-        _err(f"file defines {len(system.nets)} nets; pass --net NAME")
+        _err(f"file defines {len(system.nets)} nets; pass --net NAME"
+             if system.nets else "file defines no net")
         return None
     return default
 
 
-def _flags_ok(args):
-    """False after printing a complaint about an out-of-range number flag."""
+def _load_net(args):
+    """Check the number flags, load the file and pick its net.
+
+    Returns (system, net name), or None after printing why not.
+    """
     if args.max_steps is not None and args.max_steps < 0:
         _err("--max-steps must be at least 0")
-        return False
-    return True
+        return None
+    system = _load_system(args.file)
+    if system is None:
+        return None
+    net_name = _resolve_net(system, args.net)
+    if net_name is None:
+        return None
+    return system, net_name
+
+
+def _engine_config(args, trace=False):
+    """The run's config; its mode is None, so the run keeps the net's mode."""
+    return engine.EngineConfig(
+        max_steps=args.max_steps,
+        shuffle_seed=args.shuffle_seed,
+        strict_rules=args.strict_rules,
+        trace=trace,
+    )
 
 
 def _cmd_check(args) -> int:
     return 0 if _load_system(args.file) is not None else 1
 
 
-def _run_once(system, net_name, args, trace=False):
-    net = engine.load(system, net_name, mode=args.mode)
-    cfg = engine.EngineConfig(
-        mode=args.mode,
-        max_steps=args.max_steps,
-        shuffle_seed=args.shuffle_seed,
-        strict_rules=args.strict_rules,
-        trace=trace,
-    )
-    return engine.run(net, cfg)
-
-
 def _cmd_run(args) -> int:
-    if not _flags_ok(args):
+    loaded = _load_net(args)
+    if loaded is None:
         return 1
-    system = _load_system(args.file)
-    if system is None:
-        return 1
-    net_name = _resolve_net(system, args.net)
-    if net_name is None:
-        return 1
+    system, net_name = loaded
     # Open the stats file before reducing, so a bad path fails fast and
     # leaves stdout empty.
     try:
@@ -102,12 +106,8 @@ def _cmd_run(args) -> int:
         _err(f"{args.stats}: {exc.strerror or exc}")
         return 1
     with stats_out or nullcontext():
-        try:
-            result = _run_once(system, net_name, args, trace=args.trace)
-        except UnknownNetError as exc:
-            _err(str(exc))
-            return 1
-
+        net = engine.load(system, net_name, mode=args.mode)
+        result = engine.run(net, _engine_config(args, trace=args.trace))
         if args.trace:
             for line in result.trace:
                 print(line, file=sys.stderr)
@@ -128,25 +128,16 @@ def _cmd_bench(args) -> int:
     if args.repeat < 1:
         _err("--repeat must be at least 1")
         return 1
-    if not _flags_ok(args):
+    loaded = _load_net(args)
+    if loaded is None:
         return 1
-    system = _load_system(args.file)
-    if system is None:
-        return 1
-    net_name = _resolve_net(system, args.net)
-    if net_name is None:
-        return 1
+    system, net_name = loaded
 
     results = []
     elapsed = 0.0
+    cfg = _engine_config(args)
     for _ in range(args.repeat):
         net = engine.load(system, net_name, mode=args.mode)
-        cfg = engine.EngineConfig(
-            mode=args.mode,
-            max_steps=args.max_steps,
-            shuffle_seed=args.shuffle_seed,
-            strict_rules=args.strict_rules,
-        )
         t0 = time.perf_counter()
         results.append(engine.run(net, cfg))
         elapsed += time.perf_counter() - t0

@@ -176,10 +176,6 @@ class RuleSet:
         return len(self.rules)
 
 
-def lookup_rule(rules: RuleSet, a: AgentSymbol, b: AgentSymbol):
-    return rules.lookup(a, b)
-
-
 class InteractionSystem:
     """A signature, a rule set, and named configurations."""
 
@@ -224,6 +220,33 @@ def iter_terms(root: Term) -> Iterator[Term]:
         yield t
         if isinstance(t, AgentTerm):
             stack.extend(reversed(t.args))
+
+
+def format_term(term: Term, rename: Optional[dict] = None) -> str:
+    """Render a term; arity-0 agents print bare, `!` prefixes needed agents.
+
+    With `rename`, each name prints as `rename[name]`.
+    """
+    parts = []
+    stack = [term]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, NameTerm):
+            parts.append(item.name if rename is None else rename[item.name])
+        else:
+            head = ("!" if item.needed else "") + item.symbol.name
+            if item.args:
+                parts.append(head + "(")
+                stack.append(")")
+                for i in range(len(item.args) - 1, -1, -1):
+                    stack.append(item.args[i])
+                    if i > 0:
+                        stack.append(", ")
+            else:
+                parts.append(head)
+    return "".join(parts)
 
 
 def iter_config_terms(config: Configuration) -> Iterator[Term]:
@@ -346,28 +369,14 @@ def validate_system(system: InteractionSystem) -> list:
 
 # --- structural comparison -------------------------------------------------
 
-def _term_shape(term: Term) -> str:
-    """Symbol skeleton of a term with all names masked out."""
-    parts = []
-    stack = [term]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        elif isinstance(item, NameTerm):
-            parts.append("_")
-        else:
-            head = ("!" if item.needed else "") + item.symbol.name
-            if item.args:
-                parts.append(head + "(")
-                stack.append(")")
-                for i in range(len(item.args) - 1, -1, -1):
-                    stack.append(item.args[i])
-                    if i > 0:
-                        stack.append(",")
-            else:
-                parts.append(head)
-    return "".join(parts)
+class _MaskNames(dict):
+    """A renaming that sends every name to `_`; it stores nothing."""
+
+    def __missing__(self, name):
+        return "_"
+
+
+_MASK_NAMES = _MaskNames()
 
 
 def _match_terms(a: Term, b: Term, fwd: dict, bwd: dict, trail: list) -> bool:
@@ -410,7 +419,8 @@ def _unbind(fwd: dict, bwd: dict, trail: list, mark: int):
 
 def _shape_key(eq: Equation) -> str:
     """Shape of an equation, the same whichever way round it is written."""
-    s1, s2 = _term_shape(eq.lhs), _term_shape(eq.rhs)
+    s1 = format_term(eq.lhs, _MASK_NAMES)
+    s2 = format_term(eq.rhs, _MASK_NAMES)
     return min(s1 + "=" + s2, s2 + "=" + s1)
 
 

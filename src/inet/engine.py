@@ -86,19 +86,18 @@ class WireHalf:
 class EquationNode:
     """A live equation; sides are AgentNodes or WireHalves."""
 
-    __slots__ = ("lhs", "rhs", "alive", "in_queue", "terminal", "index", "uid")
+    __slots__ = ("lhs", "rhs", "alive", "in_queue", "terminal", "uid")
 
-    def __init__(self, index, uid):
+    def __init__(self, uid):
         self.lhs = None
         self.rhs = None
         self.alive = True
         self.in_queue = False
         self.terminal = None  # None | "observable" | "cyclic"
-        self.index = index
         self.uid = uid
 
     def __repr__(self):
-        return f"<eq{self.index}#{self.uid}>"
+        return f"<eq#{self.uid}>"
 
 
 @dataclass
@@ -164,7 +163,7 @@ class _Queue:
         return True
 
     def push_front(self, entry):
-        """Return an already-popped entry to the head (step budget hit)."""
+        """Return an already-popped entry to the head (budget or strict stop)."""
         entry.in_queue = True
         if self._head > 0:
             self._head -= 1
@@ -230,7 +229,7 @@ class RuntimeNet:
         return h1, h2
 
     def new_equation(self) -> EquationNode:
-        eq = EquationNode(len(self.equations), self._uid())
+        eq = EquationNode(self._uid())
         self.equations.append(eq)
         self._window_ops += 1
         return eq
@@ -267,22 +266,33 @@ class RuntimeNet:
         return [eq for eq in self.equations if eq.alive]
 
 
-# --- loading -----------------------------------------------------------------
+# --- template copy and loading ------------------------------------------------
 
-def _lower_term(net, term, owner, idx, wires, strip_needed, needed_out):
-    """Copy an AST term into the graph at slot (owner, idx); iterative."""
-    stack = [(term, owner, idx)]
+def instantiate(net, template, owner, idx, bindings, needed_out,
+                labelled=False):
+    """Copy a template term into the graph at slot (owner, idx); iterative.
+
+    `bindings` maps names to the wire half awaiting its second
+    occurrence and must be shared across every term of one copy: both
+    sides of one rule application, or the whole configuration at load.
+    With `labelled`, each wire keeps its name as a label, so user names
+    survive to the residual; rule-local wires stay unlabelled. Needed
+    markers are dropped in full mode; the needed-marked nodes created
+    are appended to `needed_out`.
+    """
+    stack = [(template, owner, idx)]
+    strip = net.mode == FULL
     while stack:
         t, own, i = stack.pop()
         if isinstance(t, NameTerm):
-            if t.name in wires:
-                half = wires.pop(t.name)
+            if t.name in bindings:
+                half = bindings.pop(t.name)
             else:
-                half, other = net.new_wire(label=t.name)
-                wires[t.name] = other
+                half, other = net.new_wire(t.name if labelled else None)
+                bindings[t.name] = other
             net.set_slot(own, i, half)
         else:
-            node = net.new_agent(t.symbol, t.needed and not strip_needed)
+            node = net.new_agent(t.symbol, t.needed and not strip)
             if node.needed:
                 needed_out.append(node)
             net.set_slot(own, i, node)
@@ -309,8 +319,8 @@ def load(system: InteractionSystem, net_name: Optional[str] = None,
     needed_nodes: list[AgentNode] = []
     for ast_eq in config.equations:
         eq = net.new_equation()
-        _lower_term(net, ast_eq.lhs, eq, 0, wires, mode == FULL, needed_nodes)
-        _lower_term(net, ast_eq.rhs, eq, 1, wires, mode == FULL, needed_nodes)
+        instantiate(net, ast_eq.lhs, eq, 0, wires, needed_nodes, labelled=True)
+        instantiate(net, ast_eq.rhs, eq, 1, wires, needed_nodes, labelled=True)
     assert not wires, "validated configurations pair every name"
 
     if mode == NEEDED:
@@ -324,34 +334,6 @@ def load(system: InteractionSystem, net_name: Optional[str] = None,
 
 
 # --- step operations ----------------------------------------------------------
-
-def instantiate(net, template, owner, idx, bindings, needed_out):
-    """Copy a rule template into the graph at slot (owner, idx).
-
-    `bindings` maps rule-local names to the wire half awaiting its
-    second occurrence and must be shared across both sides of one rule
-    application. Needed-marked nodes created are appended to
-    `needed_out` (ignored in full mode, where markers do not exist).
-    """
-    stack = [(template, owner, idx)]
-    strip = net.mode == FULL
-    while stack:
-        t, own, i = stack.pop()
-        if isinstance(t, NameTerm):
-            if t.name in bindings:
-                half = bindings.pop(t.name)
-            else:
-                half, other = net.new_wire()
-                bindings[t.name] = other
-            net.set_slot(own, i, half)
-        else:
-            node = net.new_agent(t.symbol, t.needed and not strip)
-            if node.needed:
-                needed_out.append(node)
-            net.set_slot(own, i, node)
-            for j in range(len(t.args) - 1, -1, -1):
-                stack.append((t.args[j], node, j))
-
 
 def interact_step(net, q, rule, swapped):
     """Fire `rule` on equation `q`; both sides must be agent nodes.
@@ -471,8 +453,9 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None):
     "indirection", and "delegation"; everything else is bookkeeping:
     "stale" (dead or already-classified entry), "plumb" (a demanded
     root re-entered as its equation), "noop" (parent already needed),
-    "loop", "observable", "cyclic", "stuck", and "budget" (the entry
-    was pushed back because the step budget is exhausted).
+    "loop", "observable", "cyclic", "stuck" (no rule under strict
+    rules) and "budget" (the step budget is exhausted); the last two
+    push the entry back, so a later run resumes from it.
     """
     if isinstance(entry, EquationNode):
         if not entry.alive or entry.terminal is not None:
@@ -482,6 +465,7 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None):
             found = net.rules.lookup(lhs.symbol, rhs.symbol)
             if found is None:
                 if strict_rules:
+                    net.queue.push_front(entry)
                     return "stuck", (lhs.symbol.name, rhs.symbol.name)
                 net.set_terminal(entry, "observable")
                 net.stats.observable_terminals += 1
@@ -552,7 +536,7 @@ def readback(net: RuntimeNet) -> Configuration:
                     if n.label:
                         used_labels.add(n.label)
                 else:
-                    stack.extend(reversed(n.children))
+                    stack.extend(n.children)
 
     pair_names: dict = {}
     fresh = 0
@@ -570,33 +554,19 @@ def readback(net: RuntimeNet) -> Configuration:
         return pair_names[half.pair_id]
 
     def build(root):
-        if isinstance(root, WireHalf):
-            return NameTerm(name_for(root))
-        top = AgentTerm(root.symbol, [], root.needed)
-        stack = [(root, top)]
+        """The side's AST, built and named in left-to-right preorder."""
+        out = [None]
+        stack = [(root, out, 0)]
         while stack:
-            node, ast = stack.pop()
-            for child in node.children:
-                if isinstance(child, WireHalf):
-                    ast.args.append(NameTerm(name_for(child)))
-                else:
-                    sub = AgentTerm(child.symbol, [], child.needed)
-                    ast.args.append(sub)
-                    stack.append((child, sub))
-        return top
-
-    # The stack above visits siblings in reverse at deeper levels, so
-    # name_for must see occurrences in true left-to-right order: walk
-    # once in preorder for naming, then build.
-    for eq in live:
-        for side in (eq.lhs, eq.rhs):
-            stack = [side]
-            while stack:
-                n = stack.pop()
-                if isinstance(n, WireHalf):
-                    name_for(n)
-                else:
-                    stack.extend(reversed(n.children))
+            node, args, j = stack.pop()
+            if isinstance(node, WireHalf):
+                args[j] = NameTerm(name_for(node))
+            else:
+                n = len(node.children)
+                term = args[j] = AgentTerm(node.symbol, [None] * n, node.needed)
+                for k in range(n - 1, -1, -1):
+                    stack.append((node.children[k], term.args, k))
+        return out[0]
 
     return Configuration([Equation(build(eq.lhs), build(eq.rhs)) for eq in live])
 
@@ -667,9 +637,15 @@ class _Auditor:
 # --- the scheduler --------------------------------------------------------------
 
 def _switch_to_full(net):
-    """Continue an existing net in full mode: drop markers, requeue all."""
+    """Continue an existing net in full mode: drop markers, requeue.
+
+    Classified terminals stay classified and are not requeued, so each
+    is counted once: an observable's root pair is fixed, and a cyclic
+    wire's partner stays inside the other side.
+    """
     while net.queue.pop() is not None:
         pass
+    net.mode = FULL
     for eq in net.live_equations():
         for side in (eq.lhs, eq.rhs):
             stack = [side]
@@ -678,10 +654,8 @@ def _switch_to_full(net):
                 if isinstance(node, AgentNode):
                     node.needed = False
                     stack.extend(node.children)
-        eq.terminal = None
-    net.mode = FULL
-    for eq in net.live_equations():
-        net.queue.push(net, eq)
+        if eq.terminal is None:
+            net.queue.push(net, eq)
 
 
 _COUNTED = frozenset({"interaction", "indirection", "delegation"})

@@ -19,6 +19,7 @@ be written with or without parentheses.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
@@ -27,6 +28,7 @@ from .core import (
     ARGS_ON_NAME,
     Configuration,
     Equation,
+    format_term,
     InteractionSystem,
     iter_terms,
     NameTerm,
@@ -306,30 +308,6 @@ def parse(text) -> InteractionSystem:
 
 # --- printing ---------------------------------------------------------------
 
-def format_term(term, rename=None) -> str:
-    """Render a term; arity-0 agents print bare, `!` prefixes needed agents."""
-    parts = []
-    stack = [term]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        elif isinstance(item, NameTerm):
-            parts.append(rename[item.name] if rename else item.name)
-        else:
-            head = ("!" if item.needed else "") + item.symbol.name
-            if item.args:
-                parts.append(head + "(")
-                stack.append(")")
-                for i in range(len(item.args) - 1, -1, -1):
-                    stack.append(item.args[i])
-                    if i > 0:
-                        stack.append(", ")
-            else:
-                parts.append(head)
-    return "".join(parts)
-
-
 def canonical_renaming(config: Configuration) -> dict:
     """Map every name to n0, n1, ... in first-occurrence order."""
     mapping = {}
@@ -374,18 +352,7 @@ def format_system(system: InteractionSystem) -> str:
 # --- machine-readable run summary -------------------------------------------
 
 def stats_json(stats, result) -> str:
-    """Single JSON object summarizing a run; keys are fixed and ordered."""
-    payload = {
-        "mode": result.mode,
-        "status": result.status,
-        "interactions": stats.interactions,
-        "indirections": stats.indirections,
-        "delegations": stats.delegations,
-        "steps": stats.steps,
-        "loops_removed": stats.loops_removed,
-        "cyclic_equations": stats.cyclic_equations,
-        "observable_terminals": stats.observable_terminals,
-        "max_ops_per_step": stats.max_ops_per_step,
-        "max_reads_per_step": stats.max_reads_per_step,
-    }
+    """One JSON object: `mode`, `status`, then the `Stats` fields in order."""
+    payload = {"mode": result.mode, "status": result.status,
+               **dataclasses.asdict(stats)}
     return json.dumps(payload, separators=(",", ":"))

@@ -148,6 +148,14 @@ def test_run_net_selection(tmp_inet, capsys):
     assert "zzz" in err
 
 
+def test_run_file_without_a_net(tmp_inet, capsys):
+    path = tmp_inet("agent A/0")
+    assert main(["run", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "file defines no net\n"
+
+
 def test_run_parse_error_exit_code(tmp_inet, capsys):
     path = tmp_inet("agent A/1 agent B/0\nnet { A(x = B; }")
     assert main(["run", path]) == 1

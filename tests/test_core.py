@@ -13,7 +13,6 @@ from inet import (
     Signature,
     UnknownNetError,
     configs_isomorphic,
-    lookup_rule,
     occurrence_count,
     parse,
     validate_system,
@@ -61,11 +60,11 @@ def test_lookup_rule_orientation(omega_system):
     sig = omega_system.signature
     rules = omega_system.rules
     lam, r0 = sig.get("Lam"), sig.get("R0")
-    rule, swapped = lookup_rule(rules, lam, r0)
+    rule, swapped = rules.lookup(lam, r0)
     assert rule.left.symbol is lam and not swapped
-    rule2, swapped2 = lookup_rule(rules, r0, lam)
+    rule2, swapped2 = rules.lookup(r0, lam)
     assert rule2 is rule and swapped2
-    assert lookup_rule(rules, sig.get("P"), sig.get("Alxx")) is None
+    assert rules.lookup(sig.get("P"), sig.get("Alxx")) is None
 
 
 def test_lookup_rule_symmetry_over_all_declared_pairs(omega_system):
@@ -73,8 +72,8 @@ def test_lookup_rule_symmetry_over_all_declared_pairs(omega_system):
     rules = omega_system.rules
     for a in sig:
         for b in sig:
-            fwd = lookup_rule(rules, a, b)
-            bwd = lookup_rule(rules, b, a)
+            fwd = rules.lookup(a, b)
+            bwd = rules.lookup(b, a)
             assert (fwd is None) == (bwd is None)
             if fwd is not None and a is not b:
                 assert fwd[0] is bwd[0]

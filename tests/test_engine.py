@@ -211,6 +211,9 @@ def test_needed_then_full_equals_full_from_scratch(add_system, omega_system):
         scratch = run(load(system, name, mode="full"), EngineConfig(mode="full"))
         assert continued.status == scratch.status == "normal"
         assert configs_isomorphic(continued.residual, scratch.residual)
+        assert (continued.stats.observable_terminals
+                == scratch.stats.observable_terminals)
+        assert continued.stats.cyclic_equations == scratch.stats.cyclic_equations
 
 
 def test_interrupted_needed_run_can_still_continue_in_full_mode(omega_system):
@@ -245,6 +248,22 @@ def test_strict_rules_reports_the_stuck_pair(omega_system):
     assert result.stuck_pair == ("P", "Alxx")
     # The stuck equation remains in the residual untouched.
     assert format_config(result.residual) == "!P = Alxx;"
+
+
+def test_strict_stop_can_be_resumed():
+    system = parse("agent A/0 agent B/0 agent C/0 agent D/0\n"
+                   "net n { !A = B; !C = D; }")
+    net = load(system, "n")
+    for _ in range(2):  # the stopped equation waits at the head of the queue
+        stopped = run(net, EngineConfig(strict_rules=True, audit=True))
+        assert stopped.status == "stuck"
+        assert stopped.stuck_pair == ("A", "B")
+    continued = run(net, EngineConfig(audit=True))
+    fresh = run(load(system, "n"), EngineConfig())
+    assert continued.status == fresh.status == "normal"
+    assert continued.stats.observable_terminals == 2
+    assert continued.stats == fresh.stats
+    assert configs_isomorphic(continued.residual, fresh.residual)
 
 
 def test_self_loop_equation_is_removed_not_counted():

@@ -111,6 +111,10 @@ def test_random_nets_needed_then_full_matches_full_from_scratch():
         if continued.status != "normal" or scratch.status != "normal":
             continue
         assert configs_isomorphic(continued.residual, scratch.residual), f"seed {seed}"
+        assert (continued.stats.observable_terminals
+                == scratch.stats.observable_terminals), f"seed {seed}"
+        assert (continued.stats.cyclic_equations
+                == scratch.stats.cyclic_equations), f"seed {seed}"
         compared += 1
     assert compared >= 40
 
