@@ -7,7 +7,6 @@ the concrete text format in `inet.syntax`.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -100,6 +99,63 @@ class AgentTerm:
     args: list
     needed: bool = False
     loc: Optional[Loc] = field(default=None, compare=False, repr=False)
+
+    # `==` and `repr` are the dataclass ones, computed on an explicit
+    # stack: terms can be nested far deeper than the recursion limit.
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or not isinstance(a, AgentTerm):
+                if not a == b:
+                    return False
+                continue
+            if a.symbol != b.symbol or a.needed != b.needed:
+                return False
+            if a.args.__class__ is list and b.args.__class__ is list:
+                if len(a.args) != len(b.args):
+                    return False
+                pairs.extend(zip(a.args, b.args))
+            elif a.args != b.args:
+                return False
+        return True
+
+    def __repr__(self):
+        def opening(t):
+            return f"{t.__class__.__qualname__}(symbol={t.symbol!r}, args=["
+
+        if self.args.__class__ is not list:
+            return (f"{self.__class__.__qualname__}(symbol={self.symbol!r}, "
+                    f"args={self.args!r}, needed={self.needed!r})")
+        parts = [opening(self)]
+        frames = [[self, 0]]  # a term whose args are being printed, next index
+        on_path = {id(self)}  # a term inside itself prints as `...`
+        while frames:
+            frame = frames[-1]
+            term, k = frame
+            if k == len(term.args):
+                frames.pop()
+                on_path.discard(id(term))
+                parts.append(f"], needed={term.needed!r})")
+                continue
+            frame[1] = k + 1
+            if k:
+                parts.append(", ")
+            arg = term.args[k]
+            if id(arg) in on_path:
+                parts.append("...")
+            elif isinstance(arg, AgentTerm) and arg.args.__class__ is list:
+                parts.append(opening(arg))
+                frames.append([arg, 0])
+                on_path.add(id(arg))
+            else:
+                parts.append(repr(arg))
+        return "".join(parts)
 
 
 Term = Union[AgentTerm, NameTerm]
@@ -228,24 +284,30 @@ def format_term(term: Term, rename: Optional[dict] = None) -> str:
     With `rename`, each name prints as `rename[name]`.
     """
     parts = []
-    stack = [term]
+    emit = parts.append
+    stack = [term]  # terms still to print, and the text between them
+    pop = stack.pop
+    push = stack.append
     while stack:
-        item = stack.pop()
+        item = pop()
         if isinstance(item, str):
-            parts.append(item)
+            emit(item)
         elif isinstance(item, NameTerm):
-            parts.append(item.name if rename is None else rename[item.name])
+            emit(item.name if rename is None else rename[item.name])
         else:
-            head = ("!" if item.needed else "") + item.symbol.name
-            if item.args:
-                parts.append(head + "(")
-                stack.append(")")
-                for i in range(len(item.args) - 1, -1, -1):
-                    stack.append(item.args[i])
-                    if i > 0:
-                        stack.append(", ")
-            else:
-                parts.append(head)
+            args = item.args
+            head = "!" + item.symbol.name if item.needed else item.symbol.name
+            if not args:
+                emit(head)
+                continue
+            emit(head + "(")
+            push(")")
+            k = len(args) - 1
+            push(args[k])
+            while k:
+                k -= 1
+                push(", ")
+                push(args[k])
     return "".join(parts)
 
 
@@ -264,38 +326,38 @@ def occurrence_count(config: Configuration, name: str) -> int:
     return n
 
 
-def _check_terms(terms, signature, diags, context):
-    """Arity and declaration checks for every agent term below `terms`."""
-    for root in terms:
-        for t in iter_terms(root):
-            if not isinstance(t, AgentTerm):
+def _check_terms(roots, by_name, context, diags, counts, first_loc):
+    """One walk over the terms below `roots`, in left-to-right preorder.
+
+    Reports each agent term whose symbol is not the declared one, or
+    whose argument count is not its arity, and counts each name's
+    occurrences into `counts`, with its first location in `first_loc`.
+    """
+    for root in roots:
+        stack = [root]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, NameTerm):
+                counts[t.name] = counts.get(t.name, 0) + 1
+                first_loc.setdefault(t.name, t.loc)
                 continue
-            declared = signature.get(t.symbol.name)
-            if declared != t.symbol:
+            sym = t.symbol
+            args = t.args
+            declared = by_name.get(sym.name)
+            if declared is not sym and declared != sym:
                 diags.append(Diagnostic(
                     UNDECLARED_SYMBOL,
-                    f"agent {t.symbol.name!r} is not declared {context}",
+                    f"agent {sym.name!r} is not declared {context}",
                     t.loc,
                 ))
-                continue
-            if len(t.args) != t.symbol.arity:
+            elif len(args) != sym.arity:
                 diags.append(Diagnostic(
                     ARITY_MISMATCH,
-                    f"{t.symbol.name} has arity {t.symbol.arity} "
-                    f"but is applied to {len(t.args)} argument(s) {context}",
+                    f"{sym.name} has arity {sym.arity} "
+                    f"but is applied to {len(args)} argument(s) {context}",
                     t.loc,
                 ))
-
-
-def _name_occurrences(terms):
-    counts = Counter()
-    first_loc = {}
-    for root in terms:
-        for t in iter_terms(root):
-            if isinstance(t, NameTerm):
-                counts[t.name] += 1
-                first_loc.setdefault(t.name, t.loc)
-    return counts, first_loc
+            stack.extend(reversed(args))
 
 
 def validate_system(system: InteractionSystem) -> list:
@@ -304,31 +366,32 @@ def validate_system(system: InteractionSystem) -> list:
     Checks: arity of every agent term, declaration of every symbol used,
     exactly-twice name linearity in each rule, zero-or-twice linearity in
     each net, and at most one rule per unordered symbol pair. Validation
-    is pure; the same system always yields the same diagnostics.
+    is pure; the same system always yields the same diagnostics. Each
+    rule and each net is walked once.
     """
     diags: list[Diagnostic] = []
-    sig = system.signature
+    by_name = system.signature._by_name
 
     for rule in system.rules:
+        counts, first_loc = {}, {}
         for side in (rule.left, rule.right):
-            declared = sig.get(side.symbol.name)
-            if declared != side.symbol:
+            sym = side.symbol
+            declared = by_name.get(sym.name)
+            if declared is not sym and declared != sym:
                 diags.append(Diagnostic(
                     UNDECLARED_SYMBOL,
-                    f"rule head {side.symbol.name!r} is not declared",
+                    f"rule head {sym.name!r} is not declared",
                     rule.loc,
                 ))
-            elif len(side.templates) != side.symbol.arity:
+            elif len(side.templates) != sym.arity:
                 diags.append(Diagnostic(
                     ARITY_MISMATCH,
-                    f"rule side {side.symbol.name} has {len(side.templates)} "
-                    f"template(s) for arity {side.symbol.arity}",
+                    f"rule side {sym.name} has {len(side.templates)} "
+                    f"template(s) for arity {sym.arity}",
                     rule.loc,
                 ))
-            _check_terms(side.templates, sig, diags, "in rule")
-        counts, locs = _name_occurrences(
-            rule.left.templates + rule.right.templates
-        )
+            _check_terms(side.templates, by_name, "in rule", diags, counts,
+                         first_loc)
         for name, n in counts.items():
             if n != 2:
                 diags.append(Diagnostic(
@@ -336,7 +399,7 @@ def validate_system(system: InteractionSystem) -> list:
                     f"name {name!r} occurs {n} time(s) in rule "
                     f"{rule.left.symbol.name}><{rule.right.symbol.name}; "
                     f"rule names must occur exactly twice",
-                    locs[name],
+                    first_loc[name],
                 ))
 
     for rule in system.rules.duplicates:
@@ -349,19 +412,16 @@ def validate_system(system: InteractionSystem) -> list:
 
     for net_name, config in system.nets.items():
         label = f"in net {net_name!r}" if net_name else "in net"
-        sides = []
-        for eq in config.equations:
-            sides.append(eq.lhs)
-            sides.append(eq.rhs)
-        _check_terms(sides, sig, diags, label)
-        counts, locs = _name_occurrences(sides)
+        counts, first_loc = {}, {}
+        _check_terms([side for eq in config.equations for side in (eq.lhs, eq.rhs)],
+                     by_name, label, diags, counts, first_loc)
         for name, n in counts.items():
             if n != 2:
                 diags.append(Diagnostic(
                     NAME_LINEARITY,
                     f"name {name!r} occurs {n} time(s) {label}; "
                     f"names must occur exactly twice or not at all",
-                    locs[name],
+                    first_loc[name],
                 ))
 
     return diags

@@ -208,28 +208,12 @@ class RuntimeNet:
         self._pair_seq = 0
         self._window_ops = 0
 
-    # -- allocation and mutation primitives; each bumps the gauge window
-
-    def _uid(self):
-        self._uid_seq += 1
-        return self._uid_seq
-
-    def new_agent(self, symbol, needed=False) -> AgentNode:
-        self._window_ops += 1
-        return AgentNode(symbol, needed, self._uid())
-
-    def new_wire(self, label=None):
-        pair_id = self._pair_seq
-        self._pair_seq += 1
-        h1 = WireHalf(label, pair_id, self._uid())
-        h2 = WireHalf(label, pair_id, self._uid())
-        h1.partner = h2
-        h2.partner = h1
-        self._window_ops += 2
-        return h1, h2
+    # -- allocation and mutation primitives; each bumps the gauge window.
+    #    `instantiate` allocates and links agents and wires inline.
 
     def new_equation(self) -> EquationNode:
-        eq = EquationNode(self._uid())
+        self._uid_seq += 1
+        eq = EquationNode(self._uid_seq)
         self.equations.append(eq)
         self._window_ops += 1
         return eq
@@ -268,10 +252,13 @@ class RuntimeNet:
 
 # --- template copy and loading ------------------------------------------------
 
-def instantiate(net, template, owner, idx, bindings, needed_out,
+def instantiate(net, template, eq, idx, bindings, needed_out,
                 labelled=False):
-    """Copy a template term into the graph at slot (owner, idx); iterative.
+    """Copy a template term into side `idx` (0 lhs, 1 rhs) of equation `eq`.
 
+    Iterative, in preorder; allocation and linking are inlined, with the
+    uids, wire pair ids and mutation count of one allocation (two per
+    wire) and one slot write per node.
     `bindings` maps names to the wire half awaiting its second
     occurrence and must be shared across every term of one copy: both
     sides of one rule application, or the whole configuration at load.
@@ -280,24 +267,46 @@ def instantiate(net, template, owner, idx, bindings, needed_out,
     markers are dropped in full mode; the needed-marked nodes created
     are appended to `needed_out`.
     """
-    stack = [(template, owner, idx)]
-    strip = net.mode == FULL
+    keep_needed = net.mode != FULL
+    uid = net._uid_seq
+    pair_id = net._pair_seq
+    ops = 0
+    root = None
+    stack = [(template, None, 0)]
     while stack:
-        t, own, i = stack.pop()
+        t, owner, i = stack.pop()
         if isinstance(t, NameTerm):
-            if t.name in bindings:
-                half = bindings.pop(t.name)
-            else:
-                half, other = net.new_wire(t.name if labelled else None)
-                bindings[t.name] = other
-            net.set_slot(own, i, half)
+            name = t.name
+            node = bindings.pop(name, None)
+            if node is None:
+                label = name if labelled else None
+                node = WireHalf(label, pair_id, uid + 1)
+                other = WireHalf(label, pair_id, uid + 2)
+                node.partner = other
+                other.partner = node
+                bindings[name] = other
+                uid += 2
+                pair_id += 1
+                ops += 2
         else:
-            node = net.new_agent(t.symbol, t.needed and not strip)
+            uid += 1
+            ops += 1
+            node = AgentNode(t.symbol, t.needed and keep_needed, uid)
             if node.needed:
                 needed_out.append(node)
-            net.set_slot(own, i, node)
-            for j in range(len(t.args) - 1, -1, -1):
-                stack.append((t.args[j], node, j))
+            args = t.args
+            for j in range(len(args) - 1, -1, -1):
+                stack.append((args[j], node, j))
+        if owner is None:
+            root = node
+        else:
+            owner.children[i] = node
+            node.parent = (owner, i)
+            ops += 1
+    net._uid_seq = uid
+    net._pair_seq = pair_id
+    net._window_ops += ops
+    net.set_slot(eq, idx, root)
 
 
 def load(system: InteractionSystem, net_name: Optional[str] = None,
@@ -522,53 +531,52 @@ def readback(net: RuntimeNet) -> Configuration:
     Equations appear in creation order. Wire pairs render as names:
     user names survive on untouched wires, wires created by rule
     instantiation get n0, n1, ... in first-occurrence order (skipping
-    any surviving user name they would collide with).
+    any surviving user name they would collide with). Two walks: one
+    collects the surviving user names, one builds each side in
+    left-to-right preorder and names wires as it reaches them.
     """
     live = net.live_equations()
 
     used_labels = set()
     for eq in live:
-        for side in (eq.lhs, eq.rhs):
-            stack = [side]
-            while stack:
-                n = stack.pop()
-                if isinstance(n, WireHalf):
-                    if n.label:
-                        used_labels.add(n.label)
-                else:
-                    stack.extend(n.children)
+        stack = [eq.lhs, eq.rhs]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, WireHalf):
+                if node.label:
+                    used_labels.add(node.label)
+            else:
+                stack.extend(node.children)
 
     pair_names: dict = {}
     fresh = 0
-
-    def name_for(half):
-        nonlocal fresh
-        if half.pair_id not in pair_names:
-            if half.label:
-                pair_names[half.pair_id] = half.label
-            else:
-                while f"n{fresh}" in used_labels:
-                    fresh += 1
-                pair_names[half.pair_id] = f"n{fresh}"
-                fresh += 1
-        return pair_names[half.pair_id]
-
-    def build(root):
-        """The side's AST, built and named in left-to-right preorder."""
-        out = [None]
-        stack = [(root, out, 0)]
+    equations = []
+    for eq in live:
+        sides = [None, None]
+        stack = [(eq.rhs, sides, 1), (eq.lhs, sides, 0)]
         while stack:
             node, args, j = stack.pop()
             if isinstance(node, WireHalf):
-                args[j] = NameTerm(name_for(node))
+                name = pair_names.get(node.pair_id)
+                if name is None:
+                    name = node.label
+                    if not name:
+                        while f"n{fresh}" in used_labels:
+                            fresh += 1
+                        name = f"n{fresh}"
+                        fresh += 1
+                    pair_names[node.pair_id] = name
+                args[j] = NameTerm(name)
             else:
-                n = len(node.children)
-                term = args[j] = AgentTerm(node.symbol, [None] * n, node.needed)
-                for k in range(n - 1, -1, -1):
-                    stack.append((node.children[k], term.args, k))
-        return out[0]
-
-    return Configuration([Equation(build(eq.lhs), build(eq.rhs)) for eq in live])
+                children = node.children
+                k = len(children)
+                term = args[j] = AgentTerm(node.symbol, [None] * k, node.needed)
+                term_args = term.args
+                while k:
+                    k -= 1
+                    stack.append((children[k], term_args, k))
+        equations.append(Equation(sides[0], sides[1]))
+    return Configuration(equations)
 
 
 # --- invariant audit (debug/test mode) -----------------------------------------

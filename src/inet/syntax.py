@@ -15,6 +15,13 @@ Grammar:
 agents everywhere in the file; all other identifiers in terms are names.
 A `!` or an argument list on a name is a parse error. Arity-0 agents may
 be written with or without parentheses.
+
+The scanner checks the input for a stray character with one regex match,
+then splits it into (trivia, token) pairs with one `findall`; token
+offsets are running sums of the pieces' lengths. A (line, column) is
+computed only where it is kept, on terms, rules, equations and errors:
+the line by bisecting the newline offsets, the column from that line's
+start, so a tab or a carriage return counts one column.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+from bisect import bisect_right
+from itertools import accumulate, chain, islice, repeat
 
 from .core import (
     AgentTerm,
@@ -30,7 +39,6 @@ from .core import (
     Equation,
     format_term,
     InteractionSystem,
-    iter_terms,
     NameTerm,
     NEEDED_ON_NAME,
     Rule,
@@ -40,18 +48,19 @@ from .core import (
 )
 
 _KEYWORDS = frozenset({"agent", "rule", "net"})
+_IDENT_START = frozenset("_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
+# Each match is the trivia before a token, then the token, which is
+# empty at the end of input. The token group matches whatever ends the
+# greedy trivia run, so a match never backtracks.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<nl>\n)
-      | (?P<op>><|[!/()\[\]{}=,;])
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<nat>[0-9]+)
-      | (?P<bad>.)
-    """,
-    re.VERBOSE,
+    r"((?:[ \t\r\n]+|\#[^\n]*)*)"
+    r"(><|[!/()\[\]{}=,;]|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[^ \t\r\n\#]|\Z)"
 )
+# Matches the longest prefix made of trivia and well-formed tokens.
+_WELL_FORMED_RE = re.compile(
+    r"(?:[ \t\r\n]+|\#[^\n]*|><|[!/()\[\]{}=,;A-Za-z0-9_]+)*")
+_DEPTH_STEP = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
 
 
 class ParseError(Exception):
@@ -69,231 +78,193 @@ class ParseError(Exception):
         return f"{self.line}:{self.col}: {prefix}{self.message}"
 
 
-def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-            continue
-        if kind in ("ws", "comment"):
-            col += len(value)
-            continue
-        if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", line, col)
-        tokens.append((kind, value, line, col))
-        col += len(value)
-    tokens.append(("eof", "", line, col))
-    return tokens
+def _shown(token):
+    return token or "end of input"
 
 
 class _Parser:
+    """Recursive descent over tokens by index: `vals[i]` is the text of
+    token i, `starts[i]` its offset. The list ends in one or two empty
+    tokens (end of input); no index past the first is read."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.line_ends = [-1] + [m.start() for m in re.finditer("\n", text)]
+        ok = _WELL_FORMED_RE.match(text).end()
+        if ok < len(text):
+            raise ParseError(f"unexpected character {text[ok]!r}",
+                             *self.position(ok))
+        pairs = _TOKEN_RE.findall(text)
+        self.vals = [token for _, token in pairs]
+        # A token starts where the trivia before it ends.
+        self.starts = list(islice(
+            accumulate(map(len, chain.from_iterable(pairs))), 0, None, 2))
         self.signature = Signature()
+        self.agents = {}  # name -> AgentSymbol, filled by declare_agents
 
-    # -- token helpers
+    def position(self, offset):
+        """1-based (line, column) of a text offset."""
+        line = bisect_right(self.line_ends, offset)
+        return line, offset - self.line_ends[line - 1]
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def error(self, i, message, category=None):
+        raise ParseError(message, *self.position(self.starts[i]), category)
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
+    def expect(self, i, op):
+        """Index after token i, which must be `op`."""
+        if self.vals[i] != op:
+            self.error(i, f"expected {op!r}, got {_shown(self.vals[i])!r}")
+        return i + 1
 
-    def error(self, message, tok=None, category=None):
-        kind, value, line, col = tok or self.peek()
-        raise ParseError(message, line, col, category)
+    def ident(self, i, what):
+        """Token i, which must be an identifier and not a reserved word."""
+        token = self.vals[i]
+        if token[:1] not in _IDENT_START:
+            self.error(i, f"expected {what}, got {_shown(token)!r}")
+        if token in _KEYWORDS:
+            self.error(i, f"{token!r} is a reserved word")
+        return token
 
-    def expect_op(self, op):
-        kind, value, line, col = self.peek()
-        if kind != "op" or value != op:
-            shown = value if kind != "eof" else "end of input"
-            self.error(f"expected {op!r}, got {shown!r}")
-        return self.advance()
-
-    def at_op(self, op):
-        kind, value, _, _ = self.peek()
-        return kind == "op" and value == op
-
-    def expect_ident(self, what="identifier"):
-        kind, value, line, col = self.peek()
-        if kind != "ident":
-            shown = value if kind != "eof" else "end of input"
-            self.error(f"expected {what}, got {shown!r}")
-        if value in _KEYWORDS:
-            self.error(f"{value!r} is a reserved word")
-        return self.advance()
-
-    # -- declarations are collected first so that agent/name status is
-    #    a whole-file property, independent of item order
-
-    def scan_declarations(self):
-        depth = 0
-        toks = self.tokens
-        i = 0
-        while i < len(toks):
-            kind, value, line, col = toks[i]
-            if kind == "op":
-                if value in "([{":
-                    depth += 1
-                elif value in ")]}":
-                    depth = max(0, depth - 1)
-            elif kind == "ident" and value == "agent" and depth == 0:
-                if (
-                    i + 3 < len(toks)
-                    and toks[i + 1][0] == "ident"
-                    and toks[i + 1][1] not in _KEYWORDS
-                    and toks[i + 2][:2] == ("op", "/")
-                    and toks[i + 3][0] == "nat"
-                ):
-                    name_tok = toks[i + 1]
-                    if name_tok[1] in self.signature:
-                        raise ParseError(
-                            f"agent {name_tok[1]!r} declared twice",
-                            name_tok[2], name_tok[3],
-                        )
-                    self.signature.declare(name_tok[1], int(toks[i + 3][1]))
-                    i += 4
-                    continue
-                # Malformed declaration: fall through, the item pass
-                # reports it with a precise position.
-            i += 1
-
-    # -- items
+    def declare_agents(self):
+        """Declare every well-formed `agent` item outside any bracket; the
+        item pass reports a malformed one at its position."""
+        vals = self.vals
+        found, i = [], -1
+        for _ in range(vals.count("agent")):
+            i = vals.index("agent", i + 1)
+            found.append(i)
+        # Bracket depth before each token, where a closer at depth 0
+        # leaves it at 0. The depth is 0 exactly where the unclamped
+        # running sum is at most 0 and at its running minimum.
+        depth = list(accumulate(
+            map(_DEPTH_STEP.get, vals[:i + 1], repeat(0)), initial=0))
+        low = list(accumulate(depth, min))
+        for at in found:
+            if depth[at] > 0 or depth[at] != low[at]:
+                continue
+            name = vals[at + 1]
+            if (name[:1] in _IDENT_START and name not in _KEYWORDS
+                    and vals[at + 2] == "/" and vals[at + 3][:1].isdigit()):
+                if name in self.agents:
+                    self.error(at + 1, f"agent {name!r} declared twice")
+                self.agents[name] = self.signature.declare(name, int(vals[at + 3]))
 
     def parse_file(self) -> InteractionSystem:
-        self.scan_declarations()
+        self.declare_agents()
+        vals = self.vals
         rules = RuleSet()
         nets = {}
-        while True:
-            kind, value, line, col = self.peek()
-            if kind == "eof":
-                break
-            if kind == "ident" and value == "agent":
-                self.parse_agent_item()
-            elif kind == "ident" and value == "rule":
-                rules.add(self.parse_rule_item())
-            elif kind == "ident" and value == "net":
-                name, config, tok = self.parse_net_item()
+        i = 0
+        while vals[i]:
+            item = vals[i]
+            if item == "agent":
+                self.ident(i + 1, "agent name")
+                i = self.expect(i + 2, "/")
+                if not vals[i][:1].isdigit():
+                    self.error(i, "expected arity")
+                i += 1
+            elif item == "rule":
+                loc = self.position(self.starts[i])
+                left, i = self.rule_side(i + 1)
+                right, i = self.rule_side(self.expect(i, "><"))
+                rules.add(Rule(left, right, loc=loc))
+            elif item == "net":
+                name, config, end = self.net(i + 1)
                 if name in nets:
                     shown = f"net {name!r}" if name else "anonymous net"
-                    self.error(f"duplicate {shown}", tok)
+                    self.error(i, f"duplicate {shown}")
                 nets[name] = config
+                i = end
             else:
-                self.error("expected 'agent', 'rule', or 'net'")
+                self.error(i, "expected 'agent', 'rule', or 'net'")
         return InteractionSystem(self.signature, rules, nets)
 
-    def parse_agent_item(self):
-        self.advance()  # 'agent'
-        self.expect_ident("agent name")
-        self.expect_op("/")
-        kind, value, line, col = self.peek()
-        if kind != "nat":
-            self.error("expected arity")
-        self.advance()
-
-    def parse_rule_item(self) -> Rule:
-        kind, value, line, col = self.advance()  # 'rule'
-        left = self.parse_rule_side()
-        self.expect_op("><")
-        right = self.parse_rule_side()
-        return Rule(left, right, loc=(line, col))
-
-    def parse_rule_side(self) -> RuleSide:
-        tok = self.expect_ident("agent name")
-        sym = self.signature.get(tok[1])
+    def rule_side(self, i):
+        name = self.ident(i, "agent name")
+        sym = self.agents.get(name)
         if sym is None:
-            self.error(f"rule head {tok[1]!r} is not a declared agent", tok)
-        self.expect_op("[")
-        templates = [] if self.at_op("]") else self.parse_terms()
-        self.expect_op("]")
-        return RuleSide(sym, templates)
+            self.error(i, f"rule head {name!r} is not a declared agent")
+        i = self.expect(i + 1, "[")
+        templates = []
+        if self.vals[i] != "]":
+            while True:
+                term, i = self.term(i)
+                templates.append(term)
+                if self.vals[i] != ",":
+                    break
+                i += 1
+        return RuleSide(sym, templates), self.expect(i, "]")
 
-    def parse_net_item(self):
-        net_tok = self.advance()  # 'net'
+    def net(self, i):
+        vals, starts = self.vals, self.starts
         name = ""
-        kind, value, _, _ = self.peek()
-        if kind == "ident":
-            name = self.expect_ident("net name")[1]
-        self.expect_op("{")
+        if vals[i][:1] in _IDENT_START:
+            name = self.ident(i, "net name")
+            i += 1
+        i = self.expect(i, "{")
         equations = []
-        while not self.at_op("}"):
-            kind, value, line, col = self.peek()
-            lhs = self.parse_term()
-            self.expect_op("=")
-            rhs = self.parse_term()
-            self.expect_op(";")
-            equations.append(Equation(lhs, rhs, loc=(line, col)))
-        self.expect_op("}")
-        return name, Configuration(equations), net_tok
+        while vals[i] != "}":
+            loc = self.position(starts[i])
+            lhs, i = self.term(i)
+            rhs, i = self.term(self.expect(i, "="))
+            i = self.expect(i, ";")
+            equations.append(Equation(lhs, rhs, loc))
+        return name, Configuration(equations), i + 1
 
-    def parse_terms(self):
-        terms = [self.parse_term()]
-        while self.at_op(","):
-            self.advance()
-            terms.append(self.parse_term())
-        return terms
+    def term(self, i):
+        """Parse the term at token i; return it and the index after it.
 
-    def parse_term(self):
-        # Iterative: argument nesting can be tens of thousands deep.
-        # Each stack frame is a partially parsed agent application.
+        Nesting can be far deeper than the recursion limit, so one loop
+        keeps each open application `(symbol, needed, loc, args)` on a stack.
+        """
+        vals, starts, line_ends, agents = (self.vals, self.starts,
+                                           self.line_ends, self.agents)
         stack = []
         while True:
-            needed = False
-            if self.at_op("!"):
-                self.advance()
-                needed = True
-            tok = self.expect_ident("agent or name")
-            _, name, line, col = tok
-            sym = self.signature.get(name)
-            term = None
+            token = vals[i]
+            needed = token == "!"
+            if needed:
+                i += 1
+                token = vals[i]
+            offset = starts[i]
+            line = bisect_right(line_ends, offset)
+            loc = (line, offset - line_ends[line - 1])
+            sym = agents.get(token)
             if sym is None:
+                self.ident(i, "agent or name")
                 if needed:
-                    self.error(
-                        f"needed marker on name {name!r}; "
-                        f"only agents can be marked needed",
-                        tok, category=NEEDED_ON_NAME,
-                    )
-                if self.at_op("("):
-                    self.error(
-                        f"{name!r} is a name and cannot take arguments",
-                        category=ARGS_ON_NAME,
-                    )
-                term = NameTerm(name, loc=(line, col))
-            elif self.at_op("("):
-                self.advance()
-                if self.at_op(")"):
-                    self.advance()
-                    term = AgentTerm(sym, [], needed, loc=(line, col))
-                else:
-                    stack.append([(line, col), needed, sym, []])
+                    self.error(i, f"needed marker on name {token!r}; "
+                                  f"only agents can be marked needed",
+                               NEEDED_ON_NAME)
+                i += 1
+                if vals[i] == "(":
+                    self.error(i, f"{token!r} is a name and cannot take "
+                                  f"arguments", ARGS_ON_NAME)
+                term = NameTerm(token, loc)
+            elif vals[i + 1] == "(":
+                i += 2
+                if vals[i] != ")":
+                    stack.append((sym, needed, loc, []))
                     continue
+                i += 1
+                term = AgentTerm(sym, [], needed, loc)
             else:
-                term = AgentTerm(sym, [], needed, loc=(line, col))
+                i += 1
+                term = AgentTerm(sym, [], needed, loc)
 
-            # Attach the completed term to enclosing applications.
-            while True:
-                if not stack:
-                    return term
-                frame = stack[-1]
-                frame[3].append(term)
-                if self.at_op(","):
-                    self.advance()
+            # Attach the completed term to the enclosing applications.
+            while stack:
+                stack[-1][3].append(term)
+                token = vals[i]
+                if token == ",":
+                    i += 1
                     break  # parse the next argument
-                if not self.at_op(")"):
-                    kind, value, _, _ = self.peek()
-                    shown = value if kind != "eof" else "end of input"
-                    self.error(f"expected ',' or ')', got {shown!r}")
-                self.advance()
-                loc, fneeded, fsym, args = stack.pop()
-                term = AgentTerm(fsym, args, fneeded, loc=loc)
+                if token != ")":
+                    self.error(i, f"expected ',' or ')', got {_shown(token)!r}")
+                i += 1
+                sym, needed, loc, args = stack.pop()
+                term = AgentTerm(sym, args, needed, loc)
+            else:
+                return term, i
 
 
 def parse(text) -> InteractionSystem:
@@ -308,20 +279,20 @@ def parse(text) -> InteractionSystem:
 
 # --- printing ---------------------------------------------------------------
 
-def canonical_renaming(config: Configuration) -> dict:
-    """Map every name to n0, n1, ... in first-occurrence order."""
-    mapping = {}
-    for t in (t for eq in config.equations
-              for side in (eq.lhs, eq.rhs)
-              for t in iter_terms(side)):
-        if isinstance(t, NameTerm) and t.name not in mapping:
-            mapping[t.name] = f"n{len(mapping)}"
-    return mapping
+class _CanonicalNames(dict):
+    """Names each name n0, n1, ... when the printer first reaches it."""
+
+    def __missing__(self, name):
+        fresh = self[name] = f"n{len(self)}"
+        return fresh
 
 
 def format_config(config: Configuration, canon: bool = False) -> str:
-    """One `lhs = rhs;` line per equation; empty configurations print empty."""
-    rename = canonical_renaming(config) if canon else None
+    """One `lhs = rhs;` line per equation; empty configurations print empty.
+
+    With `canon`, names print as n0, n1, ... in first-occurrence order.
+    """
+    rename = _CanonicalNames() if canon else None
     return "\n".join(
         f"{format_term(eq.lhs, rename)} = {format_term(eq.rhs, rename)};"
         for eq in config.equations

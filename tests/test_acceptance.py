@@ -14,6 +14,7 @@ from inet import (
     load,
     parse,
     run,
+    validate_system,
 )
 from inet.cli import main
 from inet.fixtures import comb, delegation_chain, fixture_path, fixture_text
@@ -123,6 +124,27 @@ def test_constant_reads_per_step_across_add_and_comb_depths():
             gauges[kind].add(result.stats.max_reads_per_step)
     assert gauges == {"add": {3}, "comb": {1}}
     report("constant reads per step: 3 on add(n,1), 1 on comb(n), n = 10..4000")
+
+
+def test_pipeline_at_nesting_depth_100000():
+    """parse -> validate -> load -> run -> readback -> canonical print, 10^5 deep."""
+    depth = 10 ** 5
+    for source, net_name, mode, expected in (
+        (unary_add(3, depth), "add", "full",
+         "Res = " + "S(" * (depth + 3) + "Z" + ")" * (depth + 3) + ";"),
+        (delegation_chain(depth), "chain", "needed",
+         "!U(" * depth + "!P" + ")" * depth + " = T;"),
+    ):
+        system = parse(source)
+        assert validate_system(system) == []
+        result = run(load(system, net_name, mode=mode), EngineConfig(mode=mode))
+        assert result.status == "normal"
+        assert format_config(result.residual, canon=True) == expected
+        printed = format_system(system)
+        again = parse(printed)
+        assert format_system(again) == printed
+        assert again.nets == system.nets
+    report("pipeline at nesting depth 10^5: no recursion limit, prints back")
 
 
 def test_invariant_suite_zero_violations():

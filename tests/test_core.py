@@ -9,7 +9,9 @@ from inet import (
     Equation,
     InteractionSystem,
     NameTerm,
+    Rule,
     RuleSet,
+    RuleSide,
     Signature,
     UnknownNetError,
     configs_isomorphic,
@@ -134,6 +136,70 @@ def test_validate_undeclared_symbol_in_programmatic_ast():
     assert UNDECLARED_SYMBOL in categories(validate_system(system))
 
 
+def test_validate_diagnostics_exact_list_and_order():
+    system = parse(
+        "agent A/2 agent B/0 agent C/1\n"
+        "rule A[C, x] >< B[]\n"
+        "rule C[] >< A[y, B(y, q)]\n"
+        "rule B[] >< A[z, z]\n"
+        "net n {\n  A(u, C(B, B)) = v;\n  w = C(B);\n  u = B;\n}\n"
+    )
+    rule_diags = [
+        "2:8: ArityMismatch: C has arity 1 but is applied to 0 argument(s) in rule",
+        "2:11: NameLinearity: name 'x' occurs 1 time(s) in rule A><B; "
+        "rule names must occur exactly twice",
+        "3:1: ArityMismatch: rule side C has 0 template(s) for arity 1",
+        "3:18: ArityMismatch: B has arity 0 but is applied to 2 argument(s) in rule",
+        "3:23: NameLinearity: name 'q' occurs 1 time(s) in rule C><A; "
+        "rule names must occur exactly twice",
+    ]
+    assert [str(d) for d in validate_system(system)] == rule_diags + [
+        "4:1: DuplicateRule: duplicate rule for pair B><A",
+        "6:8: ArityMismatch: C has arity 1 but is applied to 2 argument(s) in net 'n'",
+        "6:19: NameLinearity: name 'v' occurs 1 time(s) in net 'n'; "
+        "names must occur exactly twice or not at all",
+        "7:3: NameLinearity: name 'w' occurs 1 time(s) in net 'n'; "
+        "names must occur exactly twice or not at all",
+    ]
+
+    # Hand-built AST: symbols equal to the declared ones but distinct
+    # objects are declared; a same-named symbol of another arity is not,
+    # and its arguments are still checked and counted.
+    sig = system.signature
+    twin_a = AgentSymbol(0, "A", 2)
+    assert twin_a == sig.get("A") and twin_a is not sig.get("A")
+    wrong_b = AgentSymbol(1, "B", 1)
+    config = Configuration([
+        Equation(AgentTerm(wrong_b, [NameTerm("p", loc=(4, 2))], loc=(4, 1)),
+                 AgentTerm(AgentSymbol(9, "Ghost", 0), [], loc=(4, 9))),
+        Equation(NameTerm("p"),
+                 AgentTerm(twin_a, [AgentTerm(sig.get("B"), []), NameTerm("r")],
+                           True)),
+    ])
+    system.rules.add(Rule(RuleSide(AgentSymbol(5, "Nope", 0), []),
+                          RuleSide(twin_a, [NameTerm("s"), NameTerm("s")]),
+                          loc=(9, 9)))
+    built = InteractionSystem(sig, system.rules, {"": config})
+    assert [str(d) for d in validate_system(built)] == rule_diags + [
+        "9:9: UndeclaredSymbol: rule head 'Nope' is not declared",
+        "4:1: DuplicateRule: duplicate rule for pair B><A",
+        "4:1: UndeclaredSymbol: agent 'B' is not declared in net",
+        "4:9: UndeclaredSymbol: agent 'Ghost' is not declared in net",
+        "NameLinearity: name 'r' occurs 1 time(s) in net; "
+        "names must occur exactly twice or not at all",
+    ]
+
+    twin_b = AgentSymbol(1, "B", 0)
+    clean = InteractionSystem(sig, RuleSet(), {"t": Configuration([
+        Equation(AgentTerm(twin_a, [NameTerm("a"), NameTerm("a")]),
+                 AgentTerm(twin_b, [])),
+    ])})
+    clean.rules.add(Rule(RuleSide(twin_a, [NameTerm("c"), NameTerm("c")]),
+                         RuleSide(twin_b, []), loc=(1, 1)))
+    clean.rules.add(Rule(RuleSide(twin_b, []), RuleSide(twin_b, [])))
+    assert validate_system(clean) == []
+
+
 def test_validate_allows_needed_markers_in_rule_templates():
     system = parse("agent A/1 agent C/0 agent B/0\nrule A[!C] >< B[]")
     assert validate_system(system) == []
@@ -216,3 +282,27 @@ def test_configs_isomorphic_at_thousands_of_equations():
 
     assert not configs_isomorphic(pairs(None), pairs(500))
     assert configs_isomorphic(pairs(500), pairs(3))
+
+
+def test_deep_terms_compare_and_print_without_recursion():
+    depth = 5000
+    sig = Signature()
+    u, p = sig.declare("U", 1), sig.declare("P", 0)
+
+    def chain(leaf, needed=False):
+        term = leaf
+        for i in range(depth):
+            term = AgentTerm(u, [term], needed, loc=(1, i))
+        return term
+
+    a = chain(AgentTerm(p, []))
+    assert a == chain(AgentTerm(p, [], loc=(9, 9)))  # loc is not compared
+    assert a != chain(AgentTerm(p, [], needed=True))
+    assert a != chain(AgentTerm(p, []), needed=True)
+    assert a != chain(NameTerm("x"))
+    assert repr(a) == (
+        "AgentTerm(symbol=AgentSymbol(id=0, name='U', arity=1), args=[" * depth
+        + "AgentTerm(symbol=AgentSymbol(id=1, name='P', arity=0), args=[], "
+          "needed=False)"
+        + "], needed=False)" * depth
+    )

@@ -85,6 +85,70 @@ def test_assorted_parse_errors():
             parse(src)
 
 
+# (label, source, exact str(ParseError)); columns count characters, so a
+# tab or a carriage return is one column.
+PARSE_ERRORS = [
+    ("crlf", "agent A/0\r\nnet { A = ; }\r\n",
+     "2:11: expected agent or name, got ';'"),
+    ("tabs", "\tagent A/0\n\tnet {\tA\t= ;\t}",
+     "2:12: expected agent or name, got ';'"),
+    ("comment_before_error", "# header ( [ {\nagent A/1 # trailing ) ]\nnet { A(x = A; }",
+     "3:11: expected ',' or ')', got '='"),
+    ("eof_in_term", "agent A/1\nnet { A(A(",
+     "2:11: expected agent or name, got 'end of input'"),
+    ("eof_after_needed_agent", "agent A/0\nnet { !A",
+     "2:9: expected '=', got 'end of input'"),
+    ("eof_after_trailing_space", "agent A/0\nnet { A = A; ",
+     "2:14: expected agent or name, got 'end of input'"),
+    ("eof_after_newline", "agent A/0\nnet {\n",
+     "3:1: expected agent or name, got 'end of input'"),
+    ("bad_char_after_long_line", "agent A/0\nnet { " + "A = A; " * 40 + "$ }",
+     "2:287: unexpected character '$'"),
+    ("bad_char_before_parse_error", "agent A/0\nnet { = ; }\n\x0c",
+     "3:1: unexpected character '\\x0c'"),
+    ("non_ascii", "agent \u00c9/0", "1:7: unexpected character '\u00c9'"),
+    ("needed_on_name", "agent A/0\nnet { !x = A; }",
+     "2:8: NeededOnName: needed marker on name 'x'; only agents can be marked needed"),
+    ("args_on_name", "agent A/0\nnet { x(A) = A; }",
+     "2:8: ArgsOnName: 'x' is a name and cannot take arguments"),
+    ("reserved_agent_name", "agent net/0", "1:7: 'net' is a reserved word"),
+    ("reserved_in_term", "agent A/0\nnet n { A = rule; }",
+     "2:13: 'rule' is a reserved word"),
+    ("agent_inside_net", "net { agent A/0 }", "1:7: 'agent' is a reserved word"),
+    ("duplicate_agent", "net { A = B; }\nagent A/0 agent A/0",
+     "2:17: agent 'A' declared twice"),
+    ("undeclared_rule_head", "rule X[] >< X[]",
+     "1:6: rule head 'X' is not a declared agent"),
+    ("missing_semicolon", "agent A/0\nnet n { A = A }", "2:15: expected ';', got '}'"),
+    ("unknown_item", "bogus", "1:1: expected 'agent', 'rule', or 'net'"),
+    ("stray_brace", "agent A/0\nnet { A = A; }}",
+     "2:15: expected 'agent', 'rule', or 'net'"),
+    ("duplicate_net", "agent A/0\nnet n { A = A; }\nnet n { A = A; }",
+     "3:1: duplicate net 'n'"),
+    ("duplicate_anonymous_net", "agent A/0\nnet { A = A; }\nnet { A = A; }",
+     "3:1: duplicate anonymous net"),
+    ("lone_gt", "agent A/0\nnet { A > A; }", "2:9: unexpected character '>'"),
+    ("bad_arity", "agent A/x", "1:9: expected arity"),
+    ("eof_in_rule_side", "agent A/0 rule A[] >< A[",
+     "1:25: expected agent or name, got 'end of input'"),
+    ("missing_rule_operator", "agent A/0 rule A[] A[]", "1:20: expected '><', got 'A'"),
+    ("missing_comma", "agent A/2\nnet { A(x, y z) = A; }",
+     "2:14: expected ',' or ')', got 'z'"),
+    ("invalid_utf8", b"agent A/0\xff",
+     "1:1: input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+     "in position 9: invalid start byte"),
+]
+
+
+@pytest.mark.parametrize("source, expected",
+                         [case[1:] for case in PARSE_ERRORS],
+                         ids=[case[0] for case in PARSE_ERRORS])
+def test_parse_error_messages_are_pinned(source, expected):
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    assert str(info.value) == expected
+
+
 def test_parse_rejects_invalid_utf8():
     with pytest.raises(ParseError):
         parse(b"agent A/0\xff")
@@ -114,10 +178,11 @@ def test_roundtrip_fixed_point_on_fixtures():
 
 
 def test_roundtrip_deep_chain():
-    # Compare printed forms: dataclass == would recurse 10000 levels.
+    # Terms 10000 deep: both printing and == must not recurse per level.
     first = parse(delegation_chain(10000))
     second = parse(format_system(first))
     assert format_system(first) == format_system(second)
+    assert first.nets == second.nets
 
 
 def test_format_config_plain_and_canon(omega_system):
