@@ -1,15 +1,16 @@
 """Command-line front end: check, run, and bench interaction-net files.
 
 Exit codes: 0 success / normal form, 1 parse or validation failure,
-a bad flag value or an unwritable --stats path, 2 step limit reached,
-3 stuck pair under --strict-rules. Residuals go to stdout; diagnostics,
-traces, and bench noise stay on stderr or in clearly separated fields
-so output remains pipeable.
+a bad flag value, an unwritable --stats path or an output pipe closed
+by its reader, 2 step limit reached, 3 stuck pair under --strict-rules.
+Residuals go to stdout; diagnostics, traces, and bench noise stay on
+stderr or in clearly separated fields so output remains pipeable.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -48,6 +49,9 @@ def _load_system(path):
 
 def _resolve_net(system, name):
     """Return the net name to run, or None after printing an error."""
+    if not system.nets:
+        _err("file defines no net")
+        return None
     if name is not None:
         if name in system.nets:
             return name
@@ -56,8 +60,7 @@ def _resolve_net(system, name):
         return None
     default = system.default_net_name()
     if default is None:
-        _err(f"file defines {len(system.nets)} nets; pass --net NAME"
-             if system.nets else "file defines no net")
+        _err(f"file defines {len(system.nets)} nets; pass --net NAME")
         return None
     return default
 
@@ -219,7 +222,15 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        # The reader closed the pipe early. Point both streams at the
+        # null device so the flush at exit writes nowhere instead of failing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, sys.stderr.fileno())
+        return 1
 
 
 if __name__ == "__main__":

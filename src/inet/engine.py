@@ -1,9 +1,12 @@
 """Mutable runtime net and the demand-driven reduction scheduler.
 
-The runtime graph holds one node per agent, a pair of mutually linked
-halves per name, and an equation node per live equation. Every node
-carries a backward link to its parent slot, so demand can climb one
-level per step.
+The runtime graph has one node shape: agents and equations are owners
+with a `children` list (an agent has one slot per argument, an equation
+two, its left and right side), and every agent and wire half links back
+to the owner whose slot holds it, so demand can climb one level per
+step. A name is a pair of mutually linked wire halves.
+`RuntimeNet.equations` keeps every equation ever created, in creation
+order; dead ones are flagged `alive = False`.
 
 Reduction pops entries off a queue of needed entities (term nodes or
 equations) and performs one of three counted steps:
@@ -49,55 +52,51 @@ FULL = "full"
 class AgentNode:
     """Runtime agent; `children` has exactly `symbol.arity` slots."""
 
-    __slots__ = ("symbol", "children", "parent", "needed", "in_queue",
-                 "alive", "uid")
+    __slots__ = ("symbol", "children", "parent", "needed", "in_queue", "alive")
 
-    def __init__(self, symbol, needed, uid):
+    def __init__(self, symbol, needed):
         self.symbol = symbol
         self.children = [None] * symbol.arity
         self.parent = None
         self.needed = needed
         self.in_queue = False
         self.alive = True
-        self.uid = uid
 
     def __repr__(self):
         mark = "!" if self.needed else ""
-        return f"<{mark}{self.symbol.name}#{self.uid}>"
+        return f"<{mark}{self.symbol.name}>"
 
 
 class WireHalf:
     """One occurrence of a name; `partner` is the other occurrence."""
 
-    __slots__ = ("partner", "parent", "label", "pair_id", "alive", "uid")
+    __slots__ = ("partner", "parent", "label", "pair_id", "alive")
 
-    def __init__(self, label, pair_id, uid):
+    def __init__(self, label, pair_id):
         self.partner = None
         self.parent = None
         self.label = label
         self.pair_id = pair_id
         self.alive = True
-        self.uid = uid
 
     def __repr__(self):
-        return f"<wire {self.label or self.pair_id}#{self.uid}>"
+        return f"<wire {self.label or f'w{self.pair_id}'}>"
 
 
 class EquationNode:
-    """A live equation; sides are AgentNodes or WireHalves."""
+    """An equation; `children` holds its two sides (agents or wire halves)."""
 
-    __slots__ = ("lhs", "rhs", "alive", "in_queue", "terminal", "uid")
+    __slots__ = ("children", "alive", "in_queue", "terminal")
 
-    def __init__(self, uid):
-        self.lhs = None
-        self.rhs = None
+    def __init__(self):
+        self.children = [None, None]
         self.alive = True
         self.in_queue = False
         self.terminal = None  # None | "observable" | "cyclic"
-        self.uid = uid
 
     def __repr__(self):
-        return f"<eq#{self.uid}>"
+        lhs, rhs = self.children
+        return f"<eq {lhs!r} = {rhs!r}>"
 
 
 @dataclass
@@ -204,7 +203,6 @@ class RuntimeNet:
         self.queue = _Queue()
         self.stats = Stats()
         self.pop_count = 0
-        self._uid_seq = 0
         self._pair_seq = 0
         self._window_ops = 0
 
@@ -212,34 +210,24 @@ class RuntimeNet:
     #    `instantiate` allocates and links agents and wires inline.
 
     def new_equation(self) -> EquationNode:
-        self._uid_seq += 1
-        eq = EquationNode(self._uid_seq)
+        eq = EquationNode()
         self.equations.append(eq)
         self._window_ops += 1
         return eq
 
     def set_slot(self, owner, idx, node):
-        """Write a child slot and the node's backward link (one splice)."""
-        if isinstance(owner, EquationNode):
-            if idx == 0:
-                owner.lhs = node
-            else:
-                owner.rhs = node
-        else:
-            owner.children[idx] = node
-        node.parent = (owner, idx)
+        """Write a child slot and the node's owner link (one splice)."""
+        owner.children[idx] = node
+        node.parent = owner
         self._window_ops += 1
 
     def mark_needed(self, node):
         node.needed = True
         self._window_ops += 1
 
-    def kill_node(self, node):
+    def kill(self, node):
+        """Mark an agent, wire half or equation dead."""
         node.alive = False
-        self._window_ops += 1
-
-    def kill_equation(self, eq):
-        eq.alive = False
         self._window_ops += 1
 
     def set_terminal(self, eq, kind):
@@ -254,11 +242,11 @@ class RuntimeNet:
 
 def instantiate(net, template, eq, idx, bindings, needed_out,
                 labelled=False):
-    """Copy a template term into side `idx` (0 lhs, 1 rhs) of equation `eq`.
+    """Copy a template term into side `idx` (0 left, 1 right) of equation `eq`.
 
     Iterative, in preorder; allocation and linking are inlined, with the
-    uids, wire pair ids and mutation count of one allocation (two per
-    wire) and one slot write per node.
+    wire pair ids and mutation count of one allocation (two per wire)
+    and one slot write per node.
     `bindings` maps names to the wire half awaiting its second
     occurrence and must be shared across every term of one copy: both
     sides of one rule application, or the whole configuration at load.
@@ -268,11 +256,9 @@ def instantiate(net, template, eq, idx, bindings, needed_out,
     are appended to `needed_out`.
     """
     keep_needed = net.mode != FULL
-    uid = net._uid_seq
     pair_id = net._pair_seq
     ops = 0
-    root = None
-    stack = [(template, None, 0)]
+    stack = [(template, eq, idx)]
     while stack:
         t, owner, i = stack.pop()
         if isinstance(t, NameTerm):
@@ -280,33 +266,26 @@ def instantiate(net, template, eq, idx, bindings, needed_out,
             node = bindings.pop(name, None)
             if node is None:
                 label = name if labelled else None
-                node = WireHalf(label, pair_id, uid + 1)
-                other = WireHalf(label, pair_id, uid + 2)
+                node = WireHalf(label, pair_id)
+                other = WireHalf(label, pair_id)
                 node.partner = other
                 other.partner = node
                 bindings[name] = other
-                uid += 2
                 pair_id += 1
                 ops += 2
         else:
-            uid += 1
             ops += 1
-            node = AgentNode(t.symbol, t.needed and keep_needed, uid)
+            node = AgentNode(t.symbol, t.needed and keep_needed)
             if node.needed:
                 needed_out.append(node)
             args = t.args
             for j in range(len(args) - 1, -1, -1):
                 stack.append((args[j], node, j))
-        if owner is None:
-            root = node
-        else:
-            owner.children[i] = node
-            node.parent = (owner, i)
-            ops += 1
-    net._uid_seq = uid
+        owner.children[i] = node
+        node.parent = owner
+        ops += 1
     net._pair_seq = pair_id
     net._window_ops += ops
-    net.set_slot(eq, idx, root)
 
 
 def load(system: InteractionSystem, net_name: Optional[str] = None,
@@ -357,16 +336,17 @@ def interact_step(net, q, rule, swapped):
     bindings: dict = {}
     created_needed: list[AgentNode] = []
     new_eqs: list[EquationNode] = []
-    for root, side in ((q.lhs, sides[0]), (q.rhs, sides[1])):
+    lhs, rhs = q.children
+    for root, side in ((lhs, sides[0]), (rhs, sides[1])):
         for i, template in enumerate(side.templates):
             child = root.children[i]
             eq = net.new_equation()
             net.set_slot(eq, 0, child)
             instantiate(net, template, eq, 1, bindings, created_needed)
             new_eqs.append(eq)
-    net.kill_node(q.lhs)
-    net.kill_node(q.rhs)
-    net.kill_equation(q)
+    net.kill(lhs)
+    net.kill(rhs)
+    net.kill(q)
     net.stats.interactions += 1
     net.stats.steps += 1
     if net.mode == FULL:
@@ -376,9 +356,9 @@ def interact_step(net, q, rule, swapped):
         for node in created_needed:
             net.queue.push(net, node)
         for eq in new_eqs:
-            lhs_needed = isinstance(eq.lhs, AgentNode) and eq.lhs.needed
-            rhs_needed = isinstance(eq.rhs, AgentNode) and eq.rhs.needed
-            if lhs_needed or rhs_needed:
+            a, b = eq.children
+            if ((isinstance(a, AgentNode) and a.needed)
+                    or (isinstance(b, AgentNode) and b.needed)):
                 net.queue.push(net, eq)
 
 
@@ -398,7 +378,8 @@ def _classify_wire_equation(net, q, wire):
     parent hop counts one read toward `max_reads_per_step`.
     """
     partner = wire.partner
-    other = q.rhs if wire is q.lhs else q.lhs
+    lhs, rhs = q.children
+    other = rhs if wire is lhs else lhs
     if partner is other:
         return "loop"
     pending = [other]
@@ -415,7 +396,7 @@ def _classify_wire_equation(net, q, wire):
         if not pending:
             kind = "splice"
             break
-        up = up.parent[0]
+        up = up.parent
         reads += 1
         if not isinstance(up, AgentNode):
             kind = "cyclic" if up is q else "splice"
@@ -431,16 +412,18 @@ def indirect_step(net, q):
     The non-wire side (or the right side, when both are wires) moves
     into the slot held by the wire's partner; both halves and the
     equation die. A needed term that was substituted re-enters the
-    queue, since its demand must climb from its new position.
+    queue, since its demand must climb from its new position. The
+    partner's slot is found by searching its owner's children, at most
+    the largest arity; that search is not a classifier read.
     """
-    wire = q.lhs if isinstance(q.lhs, WireHalf) else q.rhs
-    other = q.rhs if wire is q.lhs else q.lhs
+    lhs, rhs = q.children
+    wire, other = (lhs, rhs) if isinstance(lhs, WireHalf) else (rhs, lhs)
     partner = wire.partner
-    owner, idx = partner.parent
-    net.kill_node(wire)
-    net.kill_node(partner)
-    net.set_slot(owner, idx, other)
-    net.kill_equation(q)
+    owner = partner.parent
+    net.kill(wire)
+    net.kill(partner)
+    net.set_slot(owner, owner.children.index(partner), other)
+    net.kill(q)
     net.stats.indirections += 1
     net.stats.steps += 1
     if isinstance(other, AgentNode) and other.needed:
@@ -469,7 +452,7 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None):
     if isinstance(entry, EquationNode):
         if not entry.alive or entry.terminal is not None:
             return "stale", None
-        lhs, rhs = entry.lhs, entry.rhs
+        lhs, rhs = entry.children
         if isinstance(lhs, AgentNode) and isinstance(rhs, AgentNode):
             found = net.rules.lookup(lhs.symbol, rhs.symbol)
             if found is None:
@@ -488,9 +471,9 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None):
         wire = lhs if isinstance(lhs, WireHalf) else rhs
         kind = _classify_wire_equation(net, entry, wire)
         if kind == "loop":
-            net.kill_node(entry.lhs)
-            net.kill_node(entry.rhs)
-            net.kill_equation(entry)
+            net.kill(lhs)
+            net.kill(rhs)
+            net.kill(entry)
             net.stats.loops_removed += 1
             return "loop", None
         if kind == "cyclic":
@@ -507,7 +490,7 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None):
     node = entry
     if not node.alive or net.mode == FULL:
         return "stale", None
-    owner, _ = node.parent
+    owner = node.parent
     if isinstance(owner, EquationNode):
         # Queue plumbing, not a step: the demanded root is replaced by
         # its equation. Classified terminals never re-enter.
@@ -531,42 +514,27 @@ def readback(net: RuntimeNet) -> Configuration:
     Equations appear in creation order. Wire pairs render as names:
     user names survive on untouched wires, wires created by rule
     instantiation get n0, n1, ... in first-occurrence order (skipping
-    any surviving user name they would collide with). Two walks: one
-    collects the surviving user names, one builds each side in
-    left-to-right preorder and names wires as it reaches them.
+    any surviving user name they would collide with). One walk builds
+    each side in left-to-right preorder, gathers the surviving user
+    names and keeps each unlabelled pair's name terms; those are named
+    once the walk is done.
     """
-    live = net.live_equations()
-
     used_labels = set()
-    for eq in live:
-        stack = [eq.lhs, eq.rhs]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, WireHalf):
-                if node.label:
-                    used_labels.add(node.label)
-            else:
-                stack.extend(node.children)
-
-    pair_names: dict = {}
-    fresh = 0
+    unnamed: dict = {}  # pair id -> its name terms, in first-occurrence order
     equations = []
-    for eq in live:
+    for eq in net.live_equations():
+        lhs, rhs = eq.children
         sides = [None, None]
-        stack = [(eq.rhs, sides, 1), (eq.lhs, sides, 0)]
+        stack = [(rhs, sides, 1), (lhs, sides, 0)]
         while stack:
             node, args, j = stack.pop()
             if isinstance(node, WireHalf):
-                name = pair_names.get(node.pair_id)
-                if name is None:
-                    name = node.label
-                    if not name:
-                        while f"n{fresh}" in used_labels:
-                            fresh += 1
-                        name = f"n{fresh}"
-                        fresh += 1
-                    pair_names[node.pair_id] = name
-                args[j] = NameTerm(name)
+                label = node.label
+                term = args[j] = NameTerm(label)
+                if label:
+                    used_labels.add(label)
+                else:
+                    unnamed.setdefault(node.pair_id, []).append(term)
             else:
                 children = node.children
                 k = len(children)
@@ -576,6 +544,15 @@ def readback(net: RuntimeNet) -> Configuration:
                     k -= 1
                     stack.append((children[k], term_args, k))
         equations.append(Equation(sides[0], sides[1]))
+
+    fresh = 0
+    for terms in unnamed.values():
+        while f"n{fresh}" in used_labels:
+            fresh += 1
+        name = f"n{fresh}"
+        fresh += 1
+        for term in terms:
+            term.name = name
     return Configuration(equations)
 
 
@@ -588,7 +565,7 @@ class AuditError(AssertionError):
 class _Auditor:
     def __init__(self, net):
         self.net = net
-        self.ever_needed: set[int] = set()
+        self.ever_needed: set[AgentNode] = set()
 
     def check(self):
         net = self.net
@@ -596,16 +573,20 @@ class _Auditor:
         if stats.steps != stats.interactions + stats.indirections + stats.delegations:
             raise AuditError("steps != interactions + indirections + delegations")
 
+        seen = set()
         pair_halves: dict = {}
         for eq in net.live_equations():
-            for idx, side in ((0, eq.lhs), (1, eq.rhs)):
-                if side is None:
-                    raise AuditError(f"{eq!r} has an empty side")
-                if side.parent != (eq, idx):
-                    raise AuditError(f"{side!r} has a stale parent link")
-                stack = [side]
-                while stack:
-                    node = stack.pop()
+            stack = [eq]
+            while stack:
+                owner = stack.pop()
+                for j, node in enumerate(owner.children):
+                    if node is None or node.parent is not owner:
+                        raise AuditError(
+                            f"slot {j} of {owner!r} is empty or has a stale parent link"
+                        )
+                    if node in seen:
+                        raise AuditError(f"{node!r} sits in two slots")
+                    seen.add(node)
                     if not node.alive:
                         raise AuditError(f"dead node {node!r} is reachable")
                     if isinstance(node, WireHalf):
@@ -613,31 +594,25 @@ class _Auditor:
                             raise AuditError(f"broken involution at {node!r}")
                         if not node.partner.alive:
                             raise AuditError(f"{node!r} has a dead partner")
-                        pair_halves.setdefault(node.pair_id, []).append(node)
+                        pair_id = node.pair_id
+                        pair_halves[pair_id] = pair_halves.get(pair_id, 0) + 1
                     else:
-                        if node.uid in self.ever_needed and not node.needed:
+                        if node in self.ever_needed and not node.needed:
                             raise AuditError(f"needed flag cleared on {node!r}")
                         if node.needed:
-                            self.ever_needed.add(node.uid)
-                        for j, child in enumerate(node.children):
-                            if child is None or child.parent != (node, j):
-                                raise AuditError(
-                                    f"child slot {j} of {node!r} is inconsistent"
-                                )
-                            stack.append(child)
+                            self.ever_needed.add(node)
+                        stack.append(node)
         for pair_id, halves in pair_halves.items():
-            if len(halves) != 2:
-                raise AuditError(
-                    f"wire pair {pair_id} has {len(halves)} reachable halves"
-                )
+            if halves != 2:
+                raise AuditError(f"wire pair {pair_id} has {halves} reachable halves")
 
-        seen = set()
+        queued = set()
         for entry in net.queue.entries():
             if entry is None:
                 continue
-            if id(entry) in seen:
+            if entry in queued:
                 raise AuditError(f"{entry!r} is resident in the queue twice")
-            seen.add(id(entry))
+            queued.add(entry)
             if not entry.in_queue:
                 raise AuditError(f"{entry!r} queued without its in_queue flag")
 
@@ -655,13 +630,12 @@ def _switch_to_full(net):
         pass
     net.mode = FULL
     for eq in net.live_equations():
-        for side in (eq.lhs, eq.rhs):
-            stack = [side]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, AgentNode):
-                    node.needed = False
-                    stack.extend(node.children)
+        stack = list(eq.children)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, AgentNode):
+                node.needed = False
+                stack.extend(node.children)
         if eq.terminal is None:
             net.queue.push(net, eq)
 

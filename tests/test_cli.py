@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from inet.cli import main
-from inet.fixtures import delegation_chain, fixture_path, fixture_text
+from inet.fixtures import comb, delegation_chain, fixture_path, fixture_text
 
 OMEGA = str(fixture_path("omega"))
 ADD = str(fixture_path("add"))
@@ -150,10 +150,11 @@ def test_run_net_selection(tmp_inet, capsys):
 
 def test_run_file_without_a_net(tmp_inet, capsys):
     path = tmp_inet("agent A/0")
-    assert main(["run", path]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "file defines no net\n"
+    for extra in ([], ["--net", "x"]):
+        assert main(["run", path] + extra) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "file defines no net\n"
 
 
 def test_run_parse_error_exit_code(tmp_inet, capsys):
@@ -222,3 +223,19 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "!P = Alxx;\n"
+
+
+def test_closed_output_pipe_exits_quietly(tmp_inet):
+    # The residual (about 240 KB) overflows the pipe buffer, so the
+    # write is still going when the reader closes its end.
+    path = tmp_inet(comb(40000))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "inet", "run", path, "--mode", "full"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(5)) == 5
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

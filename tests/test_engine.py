@@ -5,6 +5,8 @@ the FIFO schedule equation by equation; the full-mode results are
 cross-checked against the naive AST reducer in `_oracle`.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from _oracle import reduce_full
@@ -23,7 +25,7 @@ from inet import (
     run,
 )
 from inet.core import iter_config_terms
-from inet.engine import AgentNode, WireHalf
+from inet.engine import AgentNode, AuditError, WireHalf, _Auditor
 from inet.fixtures import delegation_chain
 
 
@@ -34,7 +36,7 @@ def count_ast_agents(config):
 def graph_census(net):
     agents, halves = 0, 0
     for eq in net.live_equations():
-        for side in (eq.lhs, eq.rhs):
+        for side in eq.children:
             stack = [side]
             while stack:
                 node = stack.pop()
@@ -448,3 +450,62 @@ def test_splice_of_a_large_side_into_a_deep_partner(depth, reads):
     stats = _full_audited_matches_oracle(source, "s")
     assert (stats.indirections, stats.observable_terminals) == (1, 1)
     assert stats.max_reads_per_step == reads
+
+
+# Each case breaks one invariant of a freshly loaded, audited-clean net;
+# the audit must name it. g.k = K(x1, g.s), g.s = !S(A), g.s2 = S(x2).
+
+def _corrupt(g, case):
+    if case == "stale parent link":
+        g.s.parent = g.eq0
+    elif case == "empty slot":
+        g.eq1.children[1] = None
+    elif case == "node in two slots":
+        g.k.children[0] = g.s
+    elif case == "dead node reachable":
+        g.s.alive = False
+    elif case == "broken involution":
+        g.x1.partner = g.eq0.children[1]
+    elif case == "dead partner":
+        g.x2.alive = False
+    elif case == "one reachable half":
+        g.net.set_slot(g.s2, 0, AgentNode(g.s.children[0].symbol, False))
+    elif case == "needed flag cleared":
+        g.s.needed = False
+    elif case == "queued twice":
+        g.net.queue._items.append(g.s)
+    elif case == "in_queue flag missing":
+        g.s.in_queue = False
+    elif case == "steps out of sum":
+        g.net.stats.steps += 1
+
+
+@pytest.mark.parametrize("case, message", [
+    ("stale parent link", "slot 1 of <K> is empty or has a stale parent link"),
+    ("empty slot", "slot 1 of <eq"),
+    ("node in two slots", "<!S> sits in two slots"),
+    ("dead node reachable", "dead node <!S> is reachable"),
+    ("broken involution", "broken involution at <wire x>"),
+    ("dead partner", "<wire x> has a dead partner"),
+    ("one reachable half", "has 1 reachable halves"),
+    ("needed flag cleared", "needed flag cleared on <S>"),
+    ("queued twice", "<!S> is resident in the queue twice"),
+    ("in_queue flag missing", "<!S> queued without its in_queue flag"),
+    ("steps out of sum", "steps != interactions"),
+])
+def test_audit_rejects_each_corruption(case, message):
+    system = parse("agent A/0 agent S/1 agent K/2\n"
+                   "net n { K(x, !S(A)) = y; S(x) = y; }")
+    net = load(system, "n")
+    auditor = _Auditor(net)
+    auditor.check()  # clean, and records the needed S
+    eq0, eq1 = net.equations
+    k = eq0.children[0]
+    s2 = eq1.children[0]
+    g = SimpleNamespace(net=net, eq0=eq0, eq1=eq1, k=k, x1=k.children[0],
+                        s=k.children[1], s2=s2, x2=s2.children[0])
+    assert net.queue.entries() == [g.s]
+    _corrupt(g, case)
+    with pytest.raises(AuditError) as caught:
+        auditor.check()
+    assert message in str(caught.value)
