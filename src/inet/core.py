@@ -1,12 +1,15 @@
 """Syntactic side of the calculus: signatures, terms, rules, configurations.
 
 Everything in this module is plain AST data plus pure validation and
-comparison helpers. The mutable runtime graph lives in `inet.engine`,
-the concrete text format in `inet.syntax`.
+comparison helpers, and the decorator that pauses the cyclic collector
+inside the library's entry points. The mutable runtime graph lives in
+`inet.engine`, the concrete text format in `inet.syntax`.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -20,6 +23,33 @@ ARGS_ON_NAME = "ArgsOnName"
 
 # (line, column), both 1-based.
 Loc = tuple
+
+
+def collector_paused(fn):
+    """Run `fn` with CPython's automatic cyclic collection paused.
+
+    Parsing, validation, loading, reduction, readback and printing build
+    many containers but no cyclic garbage, so automatic passes during
+    them walk an ever larger heap and free nothing. The collector's
+    state is restored on exit, also when `fn` raises. A call made while
+    it is off (a nested entry point, or a caller that turned it off)
+    leaves it off. The state is process-wide, so calls from several
+    threads may run part of their work unpaused. What the call allocated
+    is still walked once, by the first automatic pass after it returns. The one cyclic structure the
+    library builds, a runtime net, unlinks its graph when it is dropped,
+    so no garbage waits for a collection.
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class UnknownNetError(KeyError):
@@ -360,6 +390,7 @@ def _check_terms(roots, by_name, context, diags, counts, first_loc):
             stack.extend(reversed(args))
 
 
+@collector_paused
 def validate_system(system: InteractionSystem) -> list:
     """All static checks; an empty result means the system is well formed.
 

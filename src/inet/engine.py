@@ -27,6 +27,15 @@ smaller of the two. Both costs are gauged per step: mutations in
 In `full` mode the queue holds every equation, needed markers are
 ignored, and reduction runs to full normal form; it serves as the
 differential oracle for the demand-driven mode.
+
+Readback pays only for what reduction touched: a loaded agent keeps the
+input term it came from until a step changes its slots or its needed
+flag, and readback returns that very term for every subtree no step
+changed. The residual therefore shares untouched subterms with the
+input configuration, and callers must not mutate them. `load`, `run`
+and `readback` pause the cyclic collector (`core.collector_paused`):
+they create no cyclic garbage, and a dropped net unlinks its graph, so
+reference counting frees it.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from typing import Optional
 
 from .core import (
     AgentTerm,
+    collector_paused,
     Configuration,
     Equation,
     InteractionSystem,
@@ -50,17 +60,24 @@ FULL = "full"
 
 
 class AgentNode:
-    """Runtime agent; `children` has exactly `symbol.arity` slots."""
+    """Runtime agent; `children` has exactly `symbol.arity` slots.
 
-    __slots__ = ("symbol", "children", "parent", "needed", "in_queue", "alive")
+    `source` is the input `AgentTerm` a loaded node was built from, kept
+    while the node's subtree still equals it; nodes made by rules have
+    none.
+    """
 
-    def __init__(self, symbol, needed):
+    __slots__ = ("symbol", "children", "parent", "needed", "in_queue", "alive",
+                 "source")
+
+    def __init__(self, symbol, needed, source=None):
         self.symbol = symbol
         self.children = [None] * symbol.arity
         self.parent = None
         self.needed = needed
         self.in_queue = False
         self.alive = True
+        self.source = source
 
     def __repr__(self):
         mark = "!" if self.needed else ""
@@ -87,6 +104,7 @@ class EquationNode:
     """An equation; `children` holds its two sides (agents or wire halves)."""
 
     __slots__ = ("children", "alive", "in_queue", "terminal")
+    source = None  # equations are never read back from an input term
 
     def __init__(self):
         self.children = [None, None]
@@ -193,7 +211,13 @@ class _Queue:
 
 
 class RuntimeNet:
-    """The mutable graph plus its queue, counters, and allocation state."""
+    """The mutable graph plus its queue, counters, and allocation state.
+
+    `touched` logs each loaded agent whose own slots or needed flag
+    changed since the last readback; `n_labels` maps each user name that
+    starts with `n` to one half of its wire, so readback can tell which
+    fresh names `n{k}` are taken without walking the residual.
+    """
 
     def __init__(self, signature, rules, mode):
         self.signature = signature
@@ -203,11 +227,37 @@ class RuntimeNet:
         self.queue = _Queue()
         self.stats = Stats()
         self.pop_count = 0
+        self.touched: list[AgentNode] = []
+        self.n_labels: dict = {}
         self._pair_seq = 0
         self._window_ops = 0
 
+    def __del__(self):
+        """Unlink the graph, so reference counting frees it once dropped.
+
+        Parent and partner links make the graph cyclic, and library calls
+        pause the cyclic collector, whose passes then grow rare. Every
+        child list (of live and dead owners alike) is emptied once and
+        every wire drops its partner, which leaves no cycle.
+        """
+        stack = list(self.equations)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, WireHalf):
+                node.partner = None
+            elif node is not None:
+                stack += node.children
+                node.children.clear()
+
     # -- allocation and mutation primitives; each bumps the gauge window.
-    #    `instantiate` allocates and links agents and wires inline.
+    #    `instantiate` allocates and links agents and wires inline. A
+    #    change to a loaded agent also drops its `source` and logs it in
+    #    `touched`, once per node and outside the gauge.
+
+    def touch(self, node):
+        """Drop the `source` of a loaded agent that still has one; log it."""
+        node.source = None
+        self.touched.append(node)
 
     def new_equation(self) -> EquationNode:
         eq = EquationNode()
@@ -220,10 +270,14 @@ class RuntimeNet:
         owner.children[idx] = node
         node.parent = owner
         self._window_ops += 1
+        if owner.source is not None:
+            self.touch(owner)
 
     def mark_needed(self, node):
         node.needed = True
         self._window_ops += 1
+        if node.source is not None:
+            self.touch(node)
 
     def kill(self, node):
         """Mark an agent, wire half or equation dead."""
@@ -250,10 +304,12 @@ def instantiate(net, template, eq, idx, bindings, needed_out,
     `bindings` maps names to the wire half awaiting its second
     occurrence and must be shared across every term of one copy: both
     sides of one rule application, or the whole configuration at load.
-    With `labelled`, each wire keeps its name as a label, so user names
-    survive to the residual; rule-local wires stay unlabelled. Needed
-    markers are dropped in full mode; the needed-marked nodes created
-    are appended to `needed_out`.
+    With `labelled` (loading a configuration), each wire keeps its name
+    as a label, so user names survive to the residual, and each agent
+    keeps its term as `source`; rule-local wires stay unlabelled and rule
+    agents have no source. Needed markers are dropped in full mode (a
+    loaded node that loses one is logged in `net.touched`); the
+    needed-marked nodes created are appended to `needed_out`.
     """
     keep_needed = net.mode != FULL
     pair_id = net._pair_seq
@@ -271,13 +327,20 @@ def instantiate(net, template, eq, idx, bindings, needed_out,
                 node.partner = other
                 other.partner = node
                 bindings[name] = other
+                if labelled and name[0] == "n":
+                    net.n_labels[name] = node
                 pair_id += 1
                 ops += 2
         else:
             ops += 1
-            node = AgentNode(t.symbol, t.needed and keep_needed)
-            if node.needed:
-                needed_out.append(node)
+            needed = t.needed
+            node = AgentNode(t.symbol, needed and keep_needed,
+                             t if labelled else None)
+            if needed:
+                if keep_needed:
+                    needed_out.append(node)
+                elif labelled:
+                    net.touch(node)
             args = t.args
             for j in range(len(args) - 1, -1, -1):
                 stack.append((args[j], node, j))
@@ -288,6 +351,7 @@ def instantiate(net, template, eq, idx, bindings, needed_out,
     net._window_ops += ops
 
 
+@collector_paused
 def load(system: InteractionSystem, net_name: Optional[str] = None,
          mode: str = NEEDED) -> RuntimeNet:
     """Lower a named configuration into a runtime net and seed the queue.
@@ -508,18 +572,37 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None):
 
 # --- read-back ----------------------------------------------------------------
 
+@collector_paused
 def readback(net: RuntimeNet) -> Configuration:
     """Reconstruct the AST configuration of all live equations.
 
     Equations appear in creation order. Wire pairs render as names:
     user names survive on untouched wires, wires created by rule
     instantiation get n0, n1, ... in first-occurrence order (skipping
-    any surviving user name they would collide with). One walk builds
-    each side in left-to-right preorder, gathers the surviving user
-    names and keeps each unlabelled pair's name terms; those are named
-    once the walk is done.
+    any surviving user name they would collide with, which
+    `net.n_labels` lists). One walk builds each side in left-to-right
+    preorder and keeps each unlabelled pair's name terms; those are
+    named once the walk is done.
+
+    A loaded agent whose subtree no step has changed reads back as the
+    input `AgentTerm` it was built from, and the walk does not enter it.
+    So the residual shares untouched subterms with the input
+    configuration (callers must not mutate them), and readback costs the
+    nodes that reduction touched, not the size of the residual. First,
+    each node logged in `net.touched` drops the `source` of its
+    ancestors, up to the first one that has none already (that one's
+    ancestors lost theirs with it, or do in this same pass). Afterwards
+    every node below a node with a source has one too, so a node that
+    still has a source heads a subtree exactly as loaded.
     """
-    used_labels = set()
+    for node in net.touched:
+        up = node.parent
+        while up.source is not None:
+            up.source = None
+            up = up.parent
+    net.touched.clear()
+    taken = net.n_labels = {label: half for label, half in net.n_labels.items()
+                            if half.alive}
     unnamed: dict = {}  # pair id -> its name terms, in first-occurrence order
     equations = []
     for eq in net.live_equations():
@@ -531,10 +614,10 @@ def readback(net: RuntimeNet) -> Configuration:
             if isinstance(node, WireHalf):
                 label = node.label
                 term = args[j] = NameTerm(label)
-                if label:
-                    used_labels.add(label)
-                else:
+                if not label:
                     unnamed.setdefault(node.pair_id, []).append(term)
+            elif node.source is not None:
+                args[j] = node.source
             else:
                 children = node.children
                 k = len(children)
@@ -547,7 +630,7 @@ def readback(net: RuntimeNet) -> Configuration:
 
     fresh = 0
     for terms in unnamed.values():
-        while f"n{fresh}" in used_labels:
+        while f"n{fresh}" in taken:
             fresh += 1
         name = f"n{fresh}"
         fresh += 1
@@ -634,7 +717,10 @@ def _switch_to_full(net):
         while stack:
             node = stack.pop()
             if isinstance(node, AgentNode):
-                node.needed = False
+                if node.needed:
+                    node.needed = False
+                    if node.source is not None:
+                        net.touch(node)
                 stack.extend(node.children)
         if eq.terminal is None:
             net.queue.push(net, eq)
@@ -643,6 +729,7 @@ def _switch_to_full(net):
 _COUNTED = frozenset({"interaction", "indirection", "delegation"})
 
 
+@collector_paused
 def run(net: RuntimeNet, config: Optional[EngineConfig] = None) -> RunResult:
     """Pop queue entries until quiescent, a step budget, or a strict stop.
 

@@ -35,6 +35,7 @@ from itertools import accumulate, chain, islice, repeat
 from .core import (
     AgentTerm,
     ARGS_ON_NAME,
+    collector_paused,
     Configuration,
     Equation,
     format_term,
@@ -267,6 +268,7 @@ class _Parser:
                 return term, i
 
 
+@collector_paused
 def parse(text) -> InteractionSystem:
     """Parse `.inet` source (str or UTF-8 bytes) into an InteractionSystem."""
     if isinstance(text, (bytes, bytearray)):
@@ -287,6 +289,7 @@ class _CanonicalNames(dict):
         return fresh
 
 
+@collector_paused
 def format_config(config: Configuration, canon: bool = False) -> str:
     """One `lhs = rhs;` line per equation; empty configurations print empty.
 

@@ -1,0 +1,131 @@
+"""The library pauses CPython's automatic cyclic collector inside its calls.
+
+Parsing, validation, loading, reduction, readback and printing create no
+cyclic garbage, so automatic passes during them only walk the heap. The
+pause must restore the caller's collector state on every exit, and a
+dropped runtime net must still be freed.
+"""
+
+import gc
+import sys
+import tracemalloc
+
+import pytest
+
+from inet import (
+    InvalidSystemError,
+    ParseError,
+    format_config,
+    load,
+    parse,
+    readback,
+    run,
+    validate_system,
+)
+from inet.fixtures import fixture_text
+
+ENTRY_POINTS = (parse, validate_system, load, run, readback, format_config)
+
+
+def add_source(n):
+    """The bundled add rules on `S^n(Z) = Add(x, S^n(Z)); !Res = x;`."""
+    nat = "S(" * n + "Z" + ")" * n
+    rules = fixture_text("add").rsplit("net ", 1)[0]
+    return rules + f"net add {{ {nat} = Add(x, {nat}); !Res = x; }}\n"
+
+
+def pipeline(calls, source, mode):
+    """parse -> validate -> load -> run -> readback -> canonical print."""
+    parse_, validate_, load_, run_, readback_, format_ = calls
+    system = parse_(source)
+    assert validate_(system) == []
+    net = load_(system, "add", mode=mode)
+    result = run_(net)
+    format_(readback_(net), canon=True)
+    return format_(result.residual, canon=True)
+
+
+def collections_inside(calls):
+    """Names of the entry points inside which an automatic collection started."""
+    codes = {fn.__wrapped__.__code__ for fn in ENTRY_POINTS}
+    inside = set()
+
+    def on_collection(phase, info):
+        if phase != "start":
+            return
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code in codes:
+                inside.add(frame.f_code.co_name)
+                return
+            frame = frame.f_back
+
+    gc.collect()
+    assert gc.isenabled()
+    gc.callbacks.append(on_collection)
+    try:
+        for mode in ("needed", "full"):
+            pipeline(calls, add_source(2000), mode)
+    finally:
+        gc.callbacks.remove(on_collection)
+    return inside
+
+
+def test_no_automatic_collection_starts_inside_an_entry_point():
+    # Unpaused, the same pipeline does start collections inside them.
+    unpaused = collections_inside([fn.__wrapped__ for fn in ENTRY_POINTS])
+    assert {"parse", "load"} <= unpaused
+    assert collections_inside(ENTRY_POINTS) == set()
+
+
+def test_collector_state_is_restored_on_return_and_on_errors():
+    system = parse(add_source(3))
+    assert gc.isenabled()
+    net = load(system, "add")
+    result = run(net)
+    format_config(readback(net))
+    format_config(result.residual)
+    validate_system(system)
+    assert gc.isenabled()
+    with pytest.raises(ParseError):
+        parse("agent")
+    assert gc.isenabled()
+    with pytest.raises(InvalidSystemError):
+        load(parse("agent A/1 agent B/0\nrule A[n] >< B[]"), None)
+    assert gc.isenabled()
+
+
+def test_collector_stays_off_when_the_caller_turned_it_off():
+    gc.disable()
+    try:
+        assert pipeline(ENTRY_POINTS, add_source(3), "full") == (
+            "Res = S(S(S(S(S(S(Z))))));")
+        assert not gc.isenabled()
+        with pytest.raises(ParseError):
+            parse("agent")
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("mode, n", [("needed", 300), ("full", 200)])
+def test_looped_load_and_run_hold_no_dropped_net(mode, n):
+    system = parse(add_source(n))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held = []
+        for i in range(30):
+            net = load(system, "add", mode=mode)
+            result = run(net)
+            if i == 0:
+                live = tracemalloc.get_traced_memory()[0] - base
+            del net, result
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+    finally:
+        tracemalloc.stop()
+    # A dropped net is freed at once, not at some later collector pass,
+    # so nothing piles up over the loop.
+    assert held[0] < live / 2
+    assert max(held) - held[0] < live / 10

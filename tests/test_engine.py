@@ -5,6 +5,7 @@ the FIFO schedule equation by equation; the full-mode results are
 cross-checked against the naive AST reducer in `_oracle`.
 """
 
+from itertools import count
 from types import SimpleNamespace
 
 import pytest
@@ -12,11 +13,14 @@ import pytest
 from _oracle import reduce_full
 from inet import (
     AgentTerm,
+    Configuration,
     EngineConfig,
+    Equation,
     InvalidSystemError,
     NameTerm,
     UnknownNetError,
     configs_isomorphic,
+    engine,
     format_config,
     load,
     parse,
@@ -26,7 +30,8 @@ from inet import (
 )
 from inet.core import iter_config_terms
 from inet.engine import AgentNode, AuditError, WireHalf, _Auditor
-from inet.fixtures import delegation_chain
+from inet.fixtures import delegation_chain, fixture_text
+from test_properties import make_case
 
 
 def count_ast_agents(config):
@@ -509,3 +514,137 @@ def test_audit_rejects_each_corruption(case, message):
     with pytest.raises(AuditError) as caught:
         auditor.check()
     assert message in str(caught.value)
+
+
+# Readback returns a loaded agent's input term while no step has changed
+# its subtree. `rebuild_residual` reads the residual from the graph alone,
+# with every agent a new term, so the two must print the same text.
+
+def rebuild_residual(net):
+    """The residual of `net` rebuilt from its runtime graph, with no reuse.
+
+    Wires made by rules are named n0, n1, ... in left-to-right order of
+    first occurrence, skipping every user name still in the graph.
+    Recursive: the nets it reads are shallow.
+    """
+    roots = [eq.children for eq in net.live_equations()]
+    taken = set()
+
+    def gather(node):
+        if isinstance(node, WireHalf):
+            taken.add(node.label)
+        else:
+            for child in node.children:
+                gather(child)
+
+    for lhs, rhs in roots:
+        gather(lhs)
+        gather(rhs)
+    fresh = (name for name in (f"n{k}" for k in count()) if name not in taken)
+    names = {}
+
+    def term(node):
+        if isinstance(node, WireHalf):
+            if node.label:
+                return NameTerm(node.label)
+            if node.pair_id not in names:
+                names[node.pair_id] = next(fresh)
+            return NameTerm(names[node.pair_id])
+        return AgentTerm(node.symbol, [term(c) for c in node.children],
+                         node.needed)
+
+    return Configuration([Equation(term(lhs), term(rhs)) for lhs, rhs in roots])
+
+
+def with_n_names(system):
+    """`system` with each user name `uK` of its nets renamed `nK`."""
+    for t in iter_config_terms(system.get_net("r")):
+        if isinstance(t, NameTerm):
+            t.name = "n" + t.name[1:]
+    return system
+
+
+# (load mode, the runs made one after another on the loaded net)
+REUSE_SCENARIOS = {
+    "needed": ("needed", [EngineConfig(max_steps=2000)]),
+    "full": ("full", [EngineConfig(max_steps=2000)]),
+    "needed, step limits": ("needed", [EngineConfig(max_steps=1),
+                                       EngineConfig(max_steps=3),
+                                       EngineConfig(max_steps=2000)]),
+    "full, step limits": ("full", [EngineConfig(max_steps=1),
+                                   EngineConfig(max_steps=4),
+                                   EngineConfig(max_steps=2000)]),
+    "strict": ("needed", [EngineConfig(strict_rules=True, max_steps=2000),
+                          EngineConfig(max_steps=2000)]),
+    "needed then full": ("needed", [EngineConfig(max_steps=2),
+                                    EngineConfig(max_steps=2000),
+                                    EngineConfig(mode="full", max_steps=2000)]),
+}
+
+
+@pytest.mark.parametrize("scenario", REUSE_SCENARIOS)
+@pytest.mark.parametrize("n_names", [False, True], ids=["u-names", "n-names"])
+def test_readback_reuse_is_exact_on_random_nets(scenario, n_names):
+    mode, configs = REUSE_SCENARIOS[scenario]
+    markers_dropped = 0
+    for seed in range(60):
+        system = make_case(seed)
+        if n_names:
+            with_n_names(system)
+        source_text = format_config(system.get_net("r"))
+        net = load(system, "r", mode=mode)
+        markers_dropped += len(net.touched)
+        for config in configs:
+            result = run(net, config)
+            expected = format_config(rebuild_residual(net))
+            assert format_config(result.residual) == expected, f"seed {seed}"
+            assert format_config(readback(net)) == expected, f"seed {seed}"
+        assert format_config(system.get_net("r")) == source_text
+    if mode == "full":
+        assert markers_dropped > 0  # full-mode loads of `!`-marked sources
+
+
+def test_readback_skips_fresh_names_taken_by_surviving_user_names():
+    rules = fixture_text("add").rsplit("net ", 1)[0]
+    system = parse(rules + "agent T/0\n"
+                   "net c { S(Z) = Add(n1, S(n0)); !Res = n1; T = n0; }\n")
+    config = system.get_net("c")
+    net = load(system, "c")
+    result = run(net)
+    # n1 died in the splice, so the fresh names are n1 and n2; n0 survives.
+    text = "T = n0;\nZ = Add(n1, n2);\n!Res = S(n1);\nS(n0) = n2;"
+    assert format_config(result.residual) == text
+    assert format_config(rebuild_residual(net)) == text
+    assert result.residual.equations[3].lhs is config.equations[0].rhs.args[1]
+    full = run(net, EngineConfig(mode="full"))
+    assert format_config(full.residual) == format_config(rebuild_residual(net))
+
+
+def test_readback_builds_only_the_terms_reduction_touched(monkeypatch):
+    built = [0]
+
+    class CountingTerm(AgentTerm):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built[0] += 1
+
+    monkeypatch.setattr(engine, "AgentTerm", CountingTerm)
+    rules = fixture_text("add").rsplit("net ", 1)[0]
+    counts = []
+    for n in (10 ** 3, 10 ** 4):
+        nat = "S(" * n + "Z" + ")" * n
+        system = parse(rules + f"net add {{ {nat} = Add(x, {nat}); !Res = x; }}\n")
+        config = system.get_net("add")
+        source_text = format_config(config)
+        net = load(system, "add")
+        built[0] = 0
+        result = run(net)
+        counts.append(built[0])
+        assert (result.stats.interactions, result.stats.indirections,
+                result.stats.delegations) == (1, 1, 1)
+        # S^(n-1)(Z) = Add(n0, n1); !Res = S(n0); S^n(Z) = n1;
+        first, _, third = result.residual.equations
+        assert first.lhs is config.equations[0].lhs.args[0]
+        assert third.lhs is config.equations[0].rhs.args[1]
+        assert format_config(config) == source_text
+    assert counts == [2, 2]  # Add(n0, n1) and S(n0), at either size
