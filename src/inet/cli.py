@@ -1,8 +1,9 @@
 """Command-line front end: check, run, and bench interaction-net files.
 
 Exit codes: 0 success / normal form, 1 parse or validation failure,
-a bad flag value, an unwritable --stats path or an output pipe closed
-by its reader, 2 step limit reached, 3 stuck pair under --strict-rules.
+a bad flag or flag value, an unwritable --stats path or an output pipe
+closed by its reader, 2 step limit reached, 3 stuck pair under
+--strict-rules.
 Residuals go to stdout; diagnostics, traces, and bench noise stay on
 stderr or in clearly separated fields so output remains pipeable.
 """
@@ -173,6 +174,17 @@ def _cmd_bench(args) -> int:
     return worst
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line in one stderr line, with exit 1.
+
+    argparse's default is a usage block and exit 2, the step-limit code.
+    Subparsers are made with this class too.
+    """
+
+    def error(self, message):
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _add_engine_flags(sub, with_run_only=True):
     sub.add_argument("--net", metavar="NAME",
                      help="net to reduce (default: the file's only net)")
@@ -194,7 +206,7 @@ def _add_engine_flags(sub, with_run_only=True):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="inet",
         description="Reduce interaction nets: demand-driven weak reduction "
                     "by default, full reduction as an oracle.",

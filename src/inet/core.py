@@ -35,9 +35,9 @@ def collector_paused(fn):
     it is off (a nested entry point, or a caller that turned it off)
     leaves it off. The state is process-wide, so calls from several
     threads may run part of their work unpaused. What the call allocated
-    is still walked once, by the first automatic pass after it returns. The one cyclic structure the
-    library builds, a runtime net, unlinks its graph when it is dropped,
-    so no garbage waits for a collection.
+    is still walked once, by the first automatic pass after it returns.
+    The one cyclic structure the library builds, a runtime net, unlinks
+    its graph when it is dropped, so no garbage waits for a collection.
     """
     @functools.wraps(fn)
     def paused(*args, **kwargs):

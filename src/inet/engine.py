@@ -18,7 +18,10 @@ equations) and performs one of three counted steps:
 
 Each step's mutation footprint is local (one equation, its roots, one
 rule instance, one wire partner), which is what keeps the per-step cost
-independent of configuration size. Classifying a wire equation also
+independent of configuration size. An interaction runs a flat program
+that `compile_rule` builds once per ordered symbol pair per net (cached
+in `RuntimeNet.programs`), one instruction per equation, agent and wire
+occurrence the rule creates, so its cost is the program's length. Classifying a wire equation also
 reads the graph: it runs a climb from the wire's partner and a walk
 through the other side in lock step, so its reads are bounded by the
 smaller of the two. Both costs are gauged per step: mutations in
@@ -217,12 +220,16 @@ class RuntimeNet:
     changed since the last readback; `n_labels` maps each user name that
     starts with `n` to one half of its wire, so readback can tell which
     fresh names `n{k}` are taken without walking the residual.
+    `programs` maps an ordered pair of symbol ids to its compiled rule
+    program, or to None when no rule covers the pair; each entry is
+    filled the first time its pair meets.
     """
 
     def __init__(self, signature, rules, mode):
         self.signature = signature
         self.rules = rules
         self.mode = mode
+        self.programs: dict[tuple, Optional[RuleProgram]] = {}
         self.equations: list[EquationNode] = []
         self.queue = _Queue()
         self.stats = Stats()
@@ -250,7 +257,7 @@ class RuntimeNet:
                 node.children.clear()
 
     # -- allocation and mutation primitives; each bumps the gauge window.
-    #    `instantiate` allocates and links agents and wires inline. A
+    #    `instantiate` and `interact_step` allocate and link nodes inline. A
     #    change to a loaded agent also drops its `source` and logs it in
     #    `touched`, once per node and outside the gauge.
 
@@ -294,22 +301,19 @@ class RuntimeNet:
 
 # --- template copy and loading ------------------------------------------------
 
-def instantiate(net, template, eq, idx, bindings, needed_out,
-                labelled=False):
-    """Copy a template term into side `idx` (0 left, 1 right) of equation `eq`.
+def instantiate(net, template, eq, idx, bindings, needed_out):
+    """Copy an input term into side `idx` (0 left, 1 right) of equation `eq`.
 
     Iterative, in preorder; allocation and linking are inlined, with the
     wire pair ids and mutation count of one allocation (two per wire)
     and one slot write per node.
     `bindings` maps names to the wire half awaiting its second
-    occurrence and must be shared across every term of one copy: both
-    sides of one rule application, or the whole configuration at load.
-    With `labelled` (loading a configuration), each wire keeps its name
-    as a label, so user names survive to the residual, and each agent
-    keeps its term as `source`; rule-local wires stay unlabelled and rule
-    agents have no source. Needed markers are dropped in full mode (a
-    loaded node that loses one is logged in `net.touched`); the
-    needed-marked nodes created are appended to `needed_out`.
+    occurrence and is shared across the whole configuration. Each wire
+    keeps its name as a label, so user names survive to the residual,
+    and each agent keeps its term as `source`. Needed markers are
+    dropped in full mode (a node that loses one is logged in
+    `net.touched`); the needed-marked nodes created are appended to
+    `needed_out`.
     """
     keep_needed = net.mode != FULL
     pair_id = net._pair_seq
@@ -321,25 +325,23 @@ def instantiate(net, template, eq, idx, bindings, needed_out,
             name = t.name
             node = bindings.pop(name, None)
             if node is None:
-                label = name if labelled else None
-                node = WireHalf(label, pair_id)
-                other = WireHalf(label, pair_id)
+                node = WireHalf(name, pair_id)
+                other = WireHalf(name, pair_id)
                 node.partner = other
                 other.partner = node
                 bindings[name] = other
-                if labelled and name[0] == "n":
+                if name[0] == "n":
                     net.n_labels[name] = node
                 pair_id += 1
                 ops += 2
         else:
             ops += 1
             needed = t.needed
-            node = AgentNode(t.symbol, needed and keep_needed,
-                             t if labelled else None)
+            node = AgentNode(t.symbol, needed and keep_needed, t)
             if needed:
                 if keep_needed:
                     needed_out.append(node)
-                elif labelled:
+                else:
                     net.touch(node)
             args = t.args
             for j in range(len(args) - 1, -1, -1):
@@ -371,8 +373,8 @@ def load(system: InteractionSystem, net_name: Optional[str] = None,
     needed_nodes: list[AgentNode] = []
     for ast_eq in config.equations:
         eq = net.new_equation()
-        instantiate(net, ast_eq.lhs, eq, 0, wires, needed_nodes, labelled=True)
-        instantiate(net, ast_eq.rhs, eq, 1, wires, needed_nodes, labelled=True)
+        instantiate(net, ast_eq.lhs, eq, 0, wires, needed_nodes)
+        instantiate(net, ast_eq.rhs, eq, 1, wires, needed_nodes)
     assert not wires, "validated configurations pair every name"
 
     if mode == NEEDED:
@@ -387,43 +389,138 @@ def load(system: InteractionSystem, net_name: Optional[str] = None,
 
 # --- step operations ----------------------------------------------------------
 
-def interact_step(net, q, rule, swapped):
-    """Fire `rule` on equation `q`; both sides must be agent nodes.
+# Opcodes of a compiled rule program, one instruction per created node:
+#   (_EQ, root side, argument index, -, -)   new equation; its left side
+#       is that argument of the old root, its right the template below;
+#   (_AGENT, symbol, template `!`, owner, slot)   new agent;
+#   (_WIRE, -, -, owner, slot)        first occurrence of a rule name: a
+#       new wire pair, one half placed, the other kept for the second;
+#   (_REWIRE, register, -, owner, slot)   second occurrence of that name.
+# Every instruction but _REWIRE fills the next register (the equation,
+# the agent or the waiting half); owners are register numbers.
+_EQ, _AGENT, _WIRE, _REWIRE = range(4)
+
+
+class RuleProgram:
+    """A rule orientation compiled to a flat instruction tuple.
+
+    `ops` is the step's fixed mutation count (3 kills, 2 per equation, 2
+    per agent, 3 per first and 1 per second wire occurrence; enqueues
+    are counted as they happen); `label` is the trace detail `A><B`.
+    """
+
+    __slots__ = ("code", "ops", "label")
+
+    def __init__(self, code, ops, label):
+        self.code = code
+        self.ops = ops
+        self.label = label
+
+
+def compile_rule(rule, swapped):
+    """Compile one orientation of `rule` into a `RuleProgram`.
+
+    The equation's left root matches `rule.right` when `swapped`, else
+    `rule.left` (the meaning `RuleSet.lookup` gives it). One preorder walk over both sides' templates, in the order the step
+    creates equations: the left root's arguments first. Rule names
+    become register numbers, so firing builds no name table.
+    """
+    sides = (rule.right, rule.left) if swapped else (rule.left, rule.right)
+    code = []
+    waiting = {}  # rule name -> register of the half awaiting it
+    regs = 0
+    ops = 3
+    for root, side in enumerate(sides):
+        for i, template in enumerate(side.templates):
+            code.append((_EQ, root, i, None, None))
+            stack = [(template, regs, 1)]
+            regs += 1
+            ops += 2
+            while stack:
+                t, owner, slot = stack.pop()
+                if isinstance(t, NameTerm):
+                    reg = waiting.pop(t.name, None)
+                    if reg is None:
+                        code.append((_WIRE, None, None, owner, slot))
+                        waiting[t.name] = regs
+                        regs += 1
+                        ops += 3
+                    else:
+                        code.append((_REWIRE, reg, None, owner, slot))
+                        ops += 1
+                else:
+                    code.append((_AGENT, t.symbol, t.needed, owner, slot))
+                    args = t.args
+                    for j in range(len(args) - 1, -1, -1):
+                        stack.append((args[j], regs, j))
+                    regs += 1
+                    ops += 2
+    label = f"{sides[0].symbol.name}><{sides[1].symbol.name}"
+    return RuleProgram(tuple(code), ops, label)
+
+
+def interact_step(net, q, program):
+    """Fire a compiled rule on equation `q`; both sides must be agent nodes.
 
     Each argument of each root is re-rooted into a fresh equation
-    against its instantiated template; the two roots and the equation
-    die. New equations are created for the stored left side first.
+    against its template copy; the two roots and the equation die.
+    Template `!` markers are kept in needed mode and dropped in full
+    mode, read from `net.mode` here, so a program outlives a switch.
     """
-    sides = (rule.left, rule.right)
-    if swapped:
-        sides = (rule.right, rule.left)
-    bindings: dict = {}
-    created_needed: list[AgentNode] = []
-    new_eqs: list[EquationNode] = []
     lhs, rhs = q.children
-    for root, side in ((lhs, sides[0]), (rhs, sides[1])):
-        for i, template in enumerate(side.templates):
-            child = root.children[i]
-            eq = net.new_equation()
-            net.set_slot(eq, 0, child)
-            instantiate(net, template, eq, 1, bindings, created_needed)
+    roots = (lhs.children, rhs.children)
+    keep_needed = net.mode != FULL
+    pair_id = net._pair_seq
+    regs = []
+    fill = regs.append
+    new_eqs = []
+    created_needed = []
+    for op, a, b, owner, slot in program.code:
+        if op == _EQ:
+            eq = EquationNode()
+            child = roots[a][b]
+            eq.children[0] = child
+            child.parent = eq
             new_eqs.append(eq)
-    net.kill(lhs)
-    net.kill(rhs)
-    net.kill(q)
-    net.stats.interactions += 1
-    net.stats.steps += 1
-    if net.mode == FULL:
-        for eq in new_eqs:
-            net.queue.push(net, eq)
-    else:
+            fill(eq)
+            continue
+        if op == _AGENT:
+            needed = b and keep_needed
+            node = AgentNode(a, needed)
+            if needed:
+                created_needed.append(node)
+            fill(node)
+        elif op == _WIRE:
+            node = WireHalf(None, pair_id)
+            other = WireHalf(None, pair_id)
+            node.partner = other
+            other.partner = node
+            pair_id += 1
+            fill(other)
+        else:
+            node = regs[a]
+        parent = regs[owner]
+        parent.children[slot] = node
+        node.parent = parent
+    net._pair_seq = pair_id
+    net.equations += new_eqs
+    net._window_ops += program.ops
+    lhs.alive = rhs.alive = q.alive = False
+    stats = net.stats
+    stats.interactions += 1
+    stats.steps += 1
+    push = net.queue.push
+    if keep_needed:
         for node in created_needed:
-            net.queue.push(net, node)
+            push(net, node)
         for eq in new_eqs:
             a, b = eq.children
             if ((isinstance(a, AgentNode) and a.needed)
                     or (isinstance(b, AgentNode) and b.needed)):
-                net.queue.push(net, eq)
+                push(net, eq)
+    else:
+        for eq in new_eqs:
+            push(net, eq)
 
 
 def _classify_wire_equation(net, q, wire):
@@ -518,8 +615,14 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None):
             return "stale", None
         lhs, rhs = entry.children
         if isinstance(lhs, AgentNode) and isinstance(rhs, AgentNode):
-            found = net.rules.lookup(lhs.symbol, rhs.symbol)
-            if found is None:
+            key = (lhs.symbol.id, rhs.symbol.id)
+            try:
+                program = net.programs[key]
+            except KeyError:
+                found = net.rules.lookup(lhs.symbol, rhs.symbol)
+                program = net.programs[key] = (
+                    None if found is None else compile_rule(*found))
+            if program is None:
                 if strict_rules:
                     net.queue.push_front(entry)
                     return "stuck", (lhs.symbol.name, rhs.symbol.name)
@@ -529,9 +632,8 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None):
             if budget_left is not None and budget_left <= 0:
                 net.queue.push_front(entry)
                 return "budget", None
-            rule, swapped = found
-            interact_step(net, entry, rule, swapped)
-            return "interaction", f"{lhs.symbol.name}><{rhs.symbol.name}"
+            interact_step(net, entry, program)
+            return "interaction", program.label
         wire = lhs if isinstance(lhs, WireHalf) else rhs
         kind = _classify_wire_equation(net, entry, wire)
         if kind == "loop":
@@ -748,22 +850,24 @@ def run(net: RuntimeNet, config: Optional[EngineConfig] = None) -> RunResult:
     trace_lines = [] if cfg.trace else None
     auditor = _Auditor(net) if cfg.audit else None
 
+    max_steps = cfg.max_steps
+    strict_rules = cfg.strict_rules
+    pop = net.queue.pop
+    stats = net.stats
     status = "normal"
     stuck_pair = None
     while True:
-        budget_left = None
-        if cfg.max_steps is not None:
-            budget_left = cfg.max_steps - net.stats.steps
-        entry = net.queue.pop(rng)
+        budget_left = None if max_steps is None else max_steps - stats.steps
+        entry = pop(rng)
         if entry is None:
             break
         net.pop_count += 1
         net._window_ops = 0
         outcome, detail = process_entry(
-            net, entry, strict_rules=cfg.strict_rules, budget_left=budget_left
+            net, entry, strict_rules=strict_rules, budget_left=budget_left
         )
-        if net._window_ops > net.stats.max_ops_per_step:
-            net.stats.max_ops_per_step = net._window_ops
+        if net._window_ops > stats.max_ops_per_step:
+            stats.max_ops_per_step = net._window_ops
         if outcome == "budget":
             status = "step_limit"
             break
@@ -778,7 +882,7 @@ def run(net: RuntimeNet, config: Optional[EngineConfig] = None) -> RunResult:
 
     return RunResult(
         status=status,
-        stats=net.stats,
+        stats=stats,
         residual=readback(net),
         mode=net.mode,
         stuck_pair=stuck_pair,

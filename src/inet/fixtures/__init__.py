@@ -59,3 +59,26 @@ def comb(depth: int) -> str:
         "agent T/0\n"
         f"net comb {{ {spine} = T; {leaves} }}\n"
     )
+
+
+def deep_splice(depth: int) -> str:
+    """Source for a net whose one full-mode indirection reads `2 * depth + 1`.
+
+    `x = B(...B(Z)...)` splices a side of `depth + 1` agents into the
+    other occurrence of `x`, which sits `depth` levels down a spine of
+    `C` agents meeting an inert agent. The wire classifier's walk down
+    the side and climb up from the partner, run in lock step, both take
+    about `depth` reads, so a user net of `2 * depth + 2` agents spends
+    reads in proportion to its size on one step.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    spine = "C(" * depth + "x" + ")" * depth
+    side = "B(" * depth + "Z" + ")" * depth
+    return (
+        "agent C/1\n"
+        "agent B/1\n"
+        "agent Z/0\n"
+        "agent T/0\n"
+        f"net splice {{ T = {spine}; x = {side}; }}\n"
+    )

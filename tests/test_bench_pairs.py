@@ -1,0 +1,71 @@
+"""The summary of `tools/bench_pairs.py`, on canned per-pair numbers."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+DECLARED = [
+    {"name": "run_ref_p50", "better": "lower", "bound": 0.2},
+    {"name": "steps_per_ref", "better": "higher", "bound": 0.22},
+    {"name": "peak_mem_mb", "better": "lower", "bound": 0.1},
+]
+
+
+def _runs(**columns):
+    """Per-pair metric dicts from one list of values per metric."""
+    count = len(next(iter(columns.values())))
+    return [{name: values[i] for name, values in columns.items()}
+            for i in range(count)]
+
+
+def test_summary_counts_wins_in_each_metric_direction():
+    base = _runs(run_ref_p50=[1.0, 1.2, 1.1, 1.3, 1.4],
+                 steps_per_ref=[100, 100, 100, 100, 100],
+                 peak_mem_mb=[7.0, 7.0, 7.0, 7.0, 7.0])
+    new = _runs(run_ref_p50=[0.9, 1.0, 1.2, 1.0, 1.1],
+                steps_per_ref=[110, 90, 120, 130, 100],
+                peak_mem_mb=[7.7, 7.7, 7.8, 7.8, 7.8])
+    rows = {row["name"]: row for row in bench_pairs.summarize(base, new, DECLARED)}
+
+    p50 = rows["run_ref_p50"]
+    assert p50["base"] == (1.1, 1.2, 1.3)
+    assert p50["new"] == (1.0, 1.0, 1.1)
+    assert p50["won"] == 4 and p50["pairs"] == 5
+    assert p50["change"] == pytest.approx(-1 / 6)
+    assert not p50["worse"]
+
+    steps = rows["steps_per_ref"]
+    assert steps["won"] == 3  # a tie is not a win
+    assert steps["change"] == pytest.approx(0.1) and not steps["worse"]
+
+    mem = rows["peak_mem_mb"]
+    assert mem["won"] == 0
+    assert mem["change"] == pytest.approx(0.8 / 7)
+    assert mem["worse"] and mem["bound"] == 0.1
+    assert "WORSE" in bench_pairs.format_row(mem)
+    assert "WORSE" not in bench_pairs.format_row(p50)
+
+
+def test_summary_flags_a_higher_is_better_metric_that_fell_beyond_its_bound():
+    base = _runs(steps_per_ref=[100.0, 100.0])
+    new = _runs(steps_per_ref=[70.0, 80.0])
+    (row,) = bench_pairs.summarize(base, new, DECLARED)
+    assert row["name"] == "steps_per_ref"
+    assert row["new"] == (72.5, 75.0, 77.5)
+    assert row["change"] == pytest.approx(-0.25) and row["worse"]
+
+
+def test_summary_of_one_pair_and_of_a_failed_run():
+    # A failed run leaves an empty dict; its pair drops out of every row.
+    base = _runs(run_ref_p50=[1.0]) + [{}]
+    new = _runs(run_ref_p50=[1.1]) + [{"run_ref_p50": 0.1}]
+    (row,) = bench_pairs.summarize(base, new, DECLARED)
+    assert row["pairs"] == 1 and row["won"] == 0
+    assert row["base"] == (1.0, 1.0, 1.0) and row["new"] == (1.1, 1.1, 1.1)
+    assert row["change"] == pytest.approx(0.1) and not row["worse"]

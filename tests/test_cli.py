@@ -127,6 +127,32 @@ def test_negative_max_steps_is_rejected(capsys):
         assert err == "--max-steps must be at least 0\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", OMEGA, "--max-steps", "abc"],
+    ["run", OMEGA, "--mode", "lazy"],
+    ["bench", OMEGA, "--repeat", "x"],
+    ["run", OMEGA, "--shuffle-seed", "1.5"],
+    [],
+    ["frob", OMEGA],
+], ids=["max-steps", "mode", "repeat", "shuffle-seed", "no-command", "unknown-command"])
+def test_malformed_command_line_is_one_line_and_exit_1(argv, capsys):
+    # Exit 2 means "step limit reached", so argparse's default is not used.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "error:" in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert "--max-steps" in out and err == ""
+
+
 def test_run_shuffle_seed_same_answer(capsys):
     assert main(["run", OMEGA, "--shuffle-seed", "7"]) == 0
     out, _ = capsys.readouterr()

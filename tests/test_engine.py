@@ -30,7 +30,7 @@ from inet import (
 )
 from inet.core import iter_config_terms
 from inet.engine import AgentNode, AuditError, WireHalf, _Auditor
-from inet.fixtures import delegation_chain, fixture_text
+from inet.fixtures import deep_splice, delegation_chain, fixture_text
 from test_properties import make_case
 
 
@@ -328,6 +328,92 @@ def test_needed_rule_templates_inject_demand():
     ]
 
 
+# Compiled rule programs. RULE_SOURCES are rule sets without a net;
+# `self` has a rule over a single symbol whose two sides differ.
+RULE_SOURCES = {
+    "add": fixture_text("add").rsplit("net ", 1)[0],
+    "omega": fixture_text("omega").rsplit("net ", 1)[0],
+    "self": "agent A/2 agent Q/1\nrule A[Q(x), y] >< A[y, x]\n",
+}
+RULE_CASES = [(key, index, flipped)
+              for key, source in RULE_SOURCES.items()
+              for index in range(len(parse(source).rules))
+              for flipped in (False, True)]
+
+
+@pytest.mark.parametrize("key, index, flipped", RULE_CASES)
+def test_each_rule_fires_in_both_orientations(key, index, flipped):
+    # `A(v0, ..) = B(..)` (or `B = A` when flipped); every argument name
+    # is also an argument of an inert W, so the rule's output survives.
+    rules = RULE_SOURCES[key]
+    rule = parse(rules).rules.rules[index]
+    names = count()
+    roots, args = [], []
+    for side in (rule.left, rule.right):
+        mine = [f"v{next(names)}" for _ in side.templates]
+        args += mine
+        roots.append(f"{side.symbol.name}({', '.join(mine)})" if mine
+                     else side.symbol.name)
+    if flipped:
+        roots.reverse()
+    outer = f"W({', '.join(args)})" if args else "W"
+    source = (rules + f"agent W/{len(args)} agent L/0\n"
+              f"net f {{ {roots[0]} = {roots[1]}; {outer} = L; }}\n")
+    system = parse(source)
+    result = run(load(system, "f", mode="full"),
+                 EngineConfig(mode="full", trace=True, audit=True))
+    assert result.status == "normal"
+    label = "><".join(root.split("(")[0] for root in roots)
+    assert result.trace[0].split("\t")[1:] == ["interaction", label]
+    expected = reduce_full(system, system.get_net("f"))
+    assert configs_isomorphic(result.residual, expected)
+
+
+DEMAND_ADD = (
+    "agent Z/0 agent S/1 agent Add/2 agent Res/0\n"
+    "rule Z[] >< Add[y, y]\n"
+    "rule S[!Add(r, n)] >< Add[S(r), n]\n"
+    "net a { S(S(S(Z))) = Add(x, S(S(Z))); !Res = x; }\n"
+)
+
+
+@pytest.mark.parametrize("max_steps", [3, 4, 5])
+def test_program_compiled_in_needed_mode_drops_markers_after_the_switch(max_steps):
+    # The rule's `!Add(r, n)` drives the needed run through the whole
+    # sum (4 interactions in 6 steps). Stopped after 1 to 3 of them, the
+    # net continues in full mode, where the same program drops it.
+    system = parse(DEMAND_ADD)
+    net = load(system, "a")
+    partial = run(net, EngineConfig(max_steps=max_steps, audit=True))
+    assert partial.status == "step_limit"
+    assert net.stats.interactions == max_steps - 2
+    compiled = dict(net.programs)
+    continued = run(net, EngineConfig(mode="full", audit=True))
+    assert all(net.programs[key] is program for key, program in compiled.items())
+    scratch = run(load(system, "a", mode="full"), EngineConfig(mode="full"))
+    assert continued.status == scratch.status == "normal"
+    assert format_config(continued.residual) == "Res = S(S(S(S(S(Z)))));"
+    assert configs_isomorphic(continued.residual, scratch.residual)
+
+
+def test_rules_compile_once_per_pair_per_net(monkeypatch):
+    calls = []
+    original = engine.compile_rule
+
+    def counting(rule, swapped):
+        calls.append((rule.left.symbol.name, rule.right.symbol.name, swapped))
+        return original(rule, swapped)
+
+    monkeypatch.setattr(engine, "compile_rule", counting)
+    nat = "S(" * 1000 + "Z" + ")" * 1000
+    system = parse(RULE_SOURCES["add"] + f"net a {{ {nat} = Add(x, S(Z)); Res = x; }}")
+    for loads in (1, 2):
+        result = run(load(system, "a", mode="full"), EngineConfig(mode="full"))
+        assert result.stats.interactions == 1001
+        assert len(calls) == 2 * loads
+    assert sorted(calls[:2]) == [("S", "Add", False), ("Z", "Add", False)]
+
+
 def test_indirection_splices_into_a_root_slot():
     # x = A, x = B: the partner occupies a whole equation side.
     system = parse("agent A/0 agent B/0\nnet s { x = A; x = B; }")
@@ -455,6 +541,21 @@ def test_splice_of_a_large_side_into_a_deep_partner(depth, reads):
     stats = _full_audited_matches_oracle(source, "s")
     assert (stats.indirections, stats.observable_terminals) == (1, 1)
     assert stats.max_reads_per_step == reads
+
+
+@pytest.mark.parametrize("depth", [10, 100, 1000])
+def test_deep_splice_reads_grow_with_the_user_net(depth):
+    # The bound is min(side size, partner depth), and a user net can
+    # make both about half its size: the walk runs out of the depth + 1
+    # node side one hop before the climb reaches the other equation.
+    source = deep_splice(depth)
+    if depth <= 100:
+        stats = _full_audited_matches_oracle(source, "splice")
+    else:
+        stats = run(load(parse(source), "splice", mode="full"),
+                    EngineConfig(mode="full")).stats
+    assert (stats.indirections, stats.observable_terminals) == (1, 1)
+    assert stats.max_reads_per_step == 2 * depth + 1
 
 
 # Each case breaks one invariant of a freshly loaded, audited-clean net;
