@@ -18,14 +18,17 @@ equations) and performs one of three counted steps:
 
 Each step's mutation footprint is local (one equation, its roots, one
 rule instance, one wire partner), which is what keeps the per-step cost
-independent of configuration size. An interaction runs a flat program
-that `compile_rule` builds once per ordered symbol pair per net (cached
-in `RuntimeNet.programs`), one instruction per equation, agent and wire
-occurrence the rule creates, so its cost is the program's length. Classifying a wire equation also
-reads the graph: it runs a climb from the wire's partner and a walk
-through the other side in lock step, so its reads are bounded by the
-smaller of the two. Both costs are gauged per step: mutations in
-`max_ops_per_step`, classifier reads in `max_reads_per_step`.
+independent of configuration size. A step body writes the graph itself
+and adds its fixed mutation count once (see `Stats`), plus one per
+enqueue. An interaction runs a flat program that `compile_rule` builds
+once per ordered symbol pair per net (cached in `RuntimeNet.programs`),
+one instruction per equation, agent and wire occurrence the rule
+creates, so its cost is the program's length. Classifying a wire
+equation also reads the graph: it runs a climb from the wire's partner
+and a walk through the other side in lock step, so its reads are
+bounded by the smaller of the two. Both costs are gauged per pop:
+mutations in `max_ops_per_step`, classifier reads in
+`max_reads_per_step`.
 
 In `full` mode the queue holds every equation, needed markers are
 ignored, and reduction runs to full normal form; it serves as the
@@ -44,6 +47,7 @@ reference counting frees it.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -91,6 +95,7 @@ class WireHalf:
     """One occurrence of a name; `partner` is the other occurrence."""
 
     __slots__ = ("partner", "parent", "label", "pair_id", "alive")
+    needed = False  # demand never rests on a wire
 
     def __init__(self, label, pair_id):
         self.partner = None
@@ -122,10 +127,16 @@ class EquationNode:
 
 @dataclass
 class Stats:
-    """Step counters plus the per-step mutation and read gauges.
+    """Step counters plus the per-pop mutation and read gauges.
 
     `steps` is always `interactions + indirections + delegations`;
     loop removals and terminal classifications are not steps.
+    `max_ops_per_step` is a maximum over every pop, bookkeeping
+    included: a fixed count per outcome (interaction its program's
+    `ops`, indirection 4, loop 3, delegation, observable and cyclic 1,
+    plumb, noop and stale 0) plus one per enqueue; a pop that stops the
+    run counts 0. So a full-mode `x = x` reads 3 with `steps` 0. A loop
+    spends no classifier reads.
     """
 
     interactions: int = 0
@@ -168,11 +179,10 @@ class _Queue:
     """
 
     def __init__(self):
-        self._items = []
-        self._head = 0
+        self._items = deque()
 
     def __len__(self):
-        return len(self._items) - self._head
+        return len(self._items)
 
     def push(self, net, entry) -> bool:
         if entry.in_queue:
@@ -185,32 +195,24 @@ class _Queue:
     def push_front(self, entry):
         """Return an already-popped entry to the head (budget or strict stop)."""
         entry.in_queue = True
-        if self._head > 0:
-            self._head -= 1
-            self._items[self._head] = entry
-        else:
-            self._items.insert(0, entry)
+        self._items.appendleft(entry)
 
     def pop(self, rng=None):
-        if self._head >= len(self._items):
+        items = self._items
+        if not items:
             return None
         if rng is None:
-            entry = self._items[self._head]
-            self._items[self._head] = None
-            self._head += 1
-            if self._head > 64 and self._head * 2 > len(self._items):
-                del self._items[: self._head]
-                self._head = 0
+            entry = items.popleft()
         else:
-            i = rng.randrange(self._head, len(self._items))
-            last = len(self._items) - 1
-            self._items[i], self._items[last] = self._items[last], self._items[i]
-            entry = self._items.pop()
+            i = rng.randrange(len(items))
+            entry = items[i]
+            items[i] = items[-1]
+            items.pop()
         entry.in_queue = False
         return entry
 
     def entries(self):
-        return self._items[self._head:]
+        return list(self._items)
 
 
 class RuntimeNet:
@@ -256,8 +258,8 @@ class RuntimeNet:
                 stack += node.children
                 node.children.clear()
 
-    # -- allocation and mutation primitives; each bumps the gauge window.
-    #    `instantiate` and `interact_step` allocate and link nodes inline. A
+    # -- `instantiate` and the step bodies write the graph inline, and each
+    #    step adds its fixed mutation count to the gauge window once. A
     #    change to a loaded agent also drops its `source` and logs it in
     #    `touched`, once per node and outside the gauge.
 
@@ -265,12 +267,6 @@ class RuntimeNet:
         """Drop the `source` of a loaded agent that still has one; log it."""
         node.source = None
         self.touched.append(node)
-
-    def new_equation(self) -> EquationNode:
-        eq = EquationNode()
-        self.equations.append(eq)
-        self._window_ops += 1
-        return eq
 
     def set_slot(self, owner, idx, node):
         """Write a child slot and the node's owner link (one splice)."""
@@ -280,77 +276,60 @@ class RuntimeNet:
         if owner.source is not None:
             self.touch(owner)
 
-    def mark_needed(self, node):
-        node.needed = True
-        self._window_ops += 1
-        if node.source is not None:
-            self.touch(node)
-
-    def kill(self, node):
-        """Mark an agent, wire half or equation dead."""
-        node.alive = False
-        self._window_ops += 1
-
-    def set_terminal(self, eq, kind):
-        eq.terminal = kind
-        self._window_ops += 1
-
     def live_equations(self):
         return [eq for eq in self.equations if eq.alive]
 
 
 # --- template copy and loading ------------------------------------------------
 
-def instantiate(net, template, eq, idx, bindings, needed_out):
-    """Copy an input term into side `idx` (0 left, 1 right) of equation `eq`.
+def instantiate(net, config):
+    """Copy every equation of an input configuration into the graph.
 
-    Iterative, in preorder; allocation and linking are inlined, with the
-    wire pair ids and mutation count of one allocation (two per wire)
-    and one slot write per node.
-    `bindings` maps names to the wire half awaiting its second
-    occurrence and is shared across the whole configuration. Each wire
-    keeps its name as a label, so user names survive to the residual,
-    and each agent keeps its term as `source`. Needed markers are
-    dropped in full mode (a node that loses one is logged in
-    `net.touched`); the needed-marked nodes created are appended to
-    `needed_out`.
+    Returns the needed-marked nodes created. Iterative: each equation's
+    left side, then its right, in preorder. Each wire keeps its name as
+    a label, so user names survive to the residual, and each agent keeps
+    its term as `source`. Needed markers are dropped in full mode (a
+    node that loses one is logged in `net.touched`).
     """
     keep_needed = net.mode != FULL
     pair_id = net._pair_seq
-    ops = 0
-    stack = [(template, eq, idx)]
-    while stack:
-        t, owner, i = stack.pop()
-        if isinstance(t, NameTerm):
-            name = t.name
-            node = bindings.pop(name, None)
-            if node is None:
-                node = WireHalf(name, pair_id)
-                other = WireHalf(name, pair_id)
-                node.partner = other
-                other.partner = node
-                bindings[name] = other
-                if name[0] == "n":
-                    net.n_labels[name] = node
-                pair_id += 1
-                ops += 2
-        else:
-            ops += 1
-            needed = t.needed
-            node = AgentNode(t.symbol, needed and keep_needed, t)
-            if needed:
-                if keep_needed:
-                    needed_out.append(node)
-                else:
-                    net.touch(node)
-            args = t.args
-            for j in range(len(args) - 1, -1, -1):
-                stack.append((args[j], node, j))
-        owner.children[i] = node
-        node.parent = owner
-        ops += 1
+    bindings = {}  # name -> the wire half awaiting its second occurrence
+    needed_nodes = []
+    stack = []
+    for ast_eq in config.equations:
+        eq = EquationNode()
+        net.equations.append(eq)
+        stack += ((ast_eq.rhs, eq, 1), (ast_eq.lhs, eq, 0))
+        while stack:
+            t, owner, i = stack.pop()
+            if isinstance(t, NameTerm):
+                name = t.name
+                node = bindings.pop(name, None)
+                if node is None:
+                    node = WireHalf(name, pair_id)
+                    other = WireHalf(name, pair_id)
+                    node.partner = other
+                    other.partner = node
+                    bindings[name] = other
+                    if name[0] == "n":
+                        net.n_labels[name] = node
+                    pair_id += 1
+            else:
+                needed = t.needed
+                node = AgentNode(t.symbol, needed and keep_needed, t)
+                if needed:
+                    if keep_needed:
+                        needed_nodes.append(node)
+                    else:
+                        net.touch(node)
+                args = t.args
+                for j in range(len(args) - 1, -1, -1):
+                    stack.append((args[j], node, j))
+            owner.children[i] = node
+            node.parent = owner
+    assert not bindings, "validated configurations pair every name"
     net._pair_seq = pair_id
-    net._window_ops += ops
+    return needed_nodes
 
 
 @collector_paused
@@ -369,20 +348,9 @@ def load(system: InteractionSystem, net_name: Optional[str] = None,
     config = system.get_net(net_name)
 
     net = RuntimeNet(system.signature, system.rules, mode)
-    wires: dict = {}
-    needed_nodes: list[AgentNode] = []
-    for ast_eq in config.equations:
-        eq = net.new_equation()
-        instantiate(net, ast_eq.lhs, eq, 0, wires, needed_nodes)
-        instantiate(net, ast_eq.rhs, eq, 1, wires, needed_nodes)
-    assert not wires, "validated configurations pair every name"
-
-    if mode == NEEDED:
-        for node in needed_nodes:
-            net.queue.push(net, node)
-    else:
-        for eq in net.equations:
-            net.queue.push(net, eq)
+    needed_nodes = instantiate(net, config)
+    for entry in needed_nodes if mode == NEEDED else net.equations:
+        net.queue.push(net, entry)
     net._window_ops = 0  # loading is not a step
     return net
 
@@ -515,8 +483,7 @@ def interact_step(net, q, program):
             push(net, node)
         for eq in new_eqs:
             a, b = eq.children
-            if ((isinstance(a, AgentNode) and a.needed)
-                    or (isinstance(b, AgentNode) and b.needed)):
+            if a.needed or b.needed:
                 push(net, eq)
     else:
         for eq in new_eqs:
@@ -575,25 +542,28 @@ def indirect_step(net, q):
     equation die. A needed term that was substituted re-enters the
     queue, since its demand must climb from its new position. The
     partner's slot is found by searching its owner's children, at most
-    the largest arity; that search is not a classifier read.
+    the largest arity; that search is not a classifier read. Mutations:
+    three kills and the slot write.
     """
     lhs, rhs = q.children
     wire, other = (lhs, rhs) if isinstance(lhs, WireHalf) else (rhs, lhs)
     partner = wire.partner
     owner = partner.parent
-    net.kill(wire)
-    net.kill(partner)
+    wire.alive = partner.alive = q.alive = False
+    net._window_ops += 3
     net.set_slot(owner, owner.children.index(partner), other)
-    net.kill(q)
     net.stats.indirections += 1
     net.stats.steps += 1
-    if isinstance(other, AgentNode) and other.needed:
+    if other.needed:
         net.queue.push(net, other)
 
 
 def delegate_step(net, parent):
     """Propagate demand one level: mark the parent agent and enqueue it."""
-    net.mark_needed(parent)
+    parent.needed = True
+    net._window_ops += 1
+    if parent.source is not None:
+        net.touch(parent)
     net.queue.push(net, parent)
     net.stats.delegations += 1
     net.stats.steps += 1
@@ -626,7 +596,8 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None):
                 if strict_rules:
                     net.queue.push_front(entry)
                     return "stuck", (lhs.symbol.name, rhs.symbol.name)
-                net.set_terminal(entry, "observable")
+                entry.terminal = "observable"
+                net._window_ops += 1
                 net.stats.observable_terminals += 1
                 return "observable", None
             if budget_left is not None and budget_left <= 0:
@@ -637,13 +608,13 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None):
         wire = lhs if isinstance(lhs, WireHalf) else rhs
         kind = _classify_wire_equation(net, entry, wire)
         if kind == "loop":
-            net.kill(lhs)
-            net.kill(rhs)
-            net.kill(entry)
+            lhs.alive = rhs.alive = entry.alive = False
+            net._window_ops += 3
             net.stats.loops_removed += 1
             return "loop", None
         if kind == "cyclic":
-            net.set_terminal(entry, "cyclic")
+            entry.terminal = "cyclic"
+            net._window_ops += 1
             net.stats.cyclic_equations += 1
             return "cyclic", None
         if budget_left is not None and budget_left <= 0:
@@ -793,8 +764,6 @@ class _Auditor:
 
         queued = set()
         for entry in net.queue.entries():
-            if entry is None:
-                continue
             if entry in queued:
                 raise AuditError(f"{entry!r} is resident in the queue twice")
             queued.add(entry)

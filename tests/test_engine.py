@@ -5,6 +5,8 @@ the FIFO schedule equation by equation; the full-mode results are
 cross-checked against the naive AST reducer in `_oracle`.
 """
 
+import random
+from collections import Counter
 from itertools import count
 from types import SimpleNamespace
 
@@ -29,8 +31,9 @@ from inet import (
     run,
 )
 from inet.core import iter_config_terms
-from inet.engine import AgentNode, AuditError, WireHalf, _Auditor
+from inet.engine import AgentNode, AuditError, EquationNode, WireHalf, _Auditor
 from inet.fixtures import deep_splice, delegation_chain, fixture_text
+from test_cli_golden import MIX, SOURCES
 from test_properties import make_case
 
 
@@ -446,6 +449,137 @@ def test_queue_dedup_on_push(add_system):
     assert net.queue.push(net, node)
     assert not net.queue.push(net, node)
     assert len(net.queue) == before
+
+
+def _queue_pop_order(rng):
+    """Pop order of 300 entries under a fixed mix of push, push_front, pop.
+
+    About one push in nine re-pushes an earlier entry (a no-op while it
+    is resident) and one pop in five is returned with `push_front`.
+    """
+    queue = engine._Queue()
+    net = SimpleNamespace(_window_ops=0)
+    entries = [SimpleNamespace(in_queue=False, n=i) for i in range(300)]
+    script = random.Random(3)
+    order = []
+    fresh = 0
+    while fresh < len(entries):
+        roll = script.random()
+        if roll < 0.55:
+            queue.push(net, entries[fresh])
+            fresh += 1
+        elif roll < 0.62:
+            queue.push(net, entries[script.randrange(fresh)])
+        else:
+            entry = queue.pop(rng)
+            if entry is None:
+                continue
+            if roll < 0.68:
+                queue.push_front(entry)
+            else:
+                order.append(entry.n)
+    while (entry := queue.pop(rng)) is not None:
+        order.append(entry.n)
+    assert len(queue) == 0 and not any(e.in_queue for e in entries)
+    return order
+
+
+# Recorded pop orders: a change to either reorders the runs' schedules,
+# and with them the trace text of every shuffled or FIFO run.
+_FIFO_ORDER = [
+    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 4, 11, 6, 12, 13, 14, 15, 16, 17, 18,
+    19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36,
+    2, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53,
+    54, 55, 8, 56, 57, 58, 59, 60, 61, 62, 20, 63, 64, 65, 66, 67, 68, 69,
+    70, 71, 42, 72, 73, 74, 34, 75, 76, 77, 78, 79, 80, 81, 82, 83, 84, 85,
+    86, 87, 88, 89, 90, 91, 92, 93, 94, 95, 96, 97, 36, 98, 99, 100, 101,
+    102, 103, 104, 105, 106, 107, 108, 109, 110, 111, 112, 113, 114, 115,
+    116, 117, 118, 119, 120, 121, 122, 51, 123, 124, 125, 126, 127, 128,
+    129, 130, 131, 132, 133, 134, 135, 136, 137, 138, 139, 140, 141, 142,
+    10, 143, 144, 145, 146, 147, 148, 149, 150, 151, 152, 153, 154, 155,
+    156, 157, 158, 26, 159, 160, 161, 162, 163, 164, 165, 22, 166, 167,
+    168, 169, 170, 19, 171, 172, 173, 174, 89, 21, 175, 176, 177, 178, 179,
+    180, 181, 182, 183, 184, 185, 186, 80, 187, 68, 188, 189, 190, 61, 191,
+    192, 193, 194, 195, 196, 197, 198, 199, 200, 201, 202, 203, 204, 205,
+    206, 207, 208, 209, 210, 211, 212, 213, 214, 215, 216, 217, 218, 219,
+    220, 221, 222, 223, 224, 225, 226, 227, 228, 229, 46, 230, 231, 232,
+    233, 84, 234, 235, 236, 237, 238, 239, 240, 241, 242, 243, 244, 245,
+    246, 247, 248, 249, 250, 251, 252, 253, 254, 255, 256, 257, 74, 258,
+    259, 260, 261, 262, 263, 264, 265, 266, 267, 268, 269, 270, 271, 272,
+    273, 274, 275, 276, 277, 278, 279, 280, 281, 282, 283, 284, 285, 17,
+    286, 287, 288, 289, 290, 291, 292, 293, 294, 295, 296, 297, 298, 299,
+]
+_SHUFFLED_ORDER = [
+    2, 1, 4, 3, 0, 5, 7, 10, 9, 4, 6, 13, 11, 12, 16, 21, 19, 8, 23, 27, 2,
+    24, 38, 39, 30, 37, 15, 42, 36, 20, 25, 31, 47, 22, 49, 18, 35, 28, 34,
+    52, 2, 41, 46, 48, 51, 55, 71, 54, 40, 61, 78, 60, 42, 64, 76, 70, 82,
+    32, 34, 67, 73, 72, 93, 8, 26, 86, 59, 58, 104, 79, 84, 123, 109, 62,
+    134, 136, 94, 143, 140, 51, 141, 115, 90, 65, 113, 138, 102, 131, 132,
+    158, 99, 165, 118, 110, 163, 88, 137, 152, 157, 14, 92, 68, 36, 181,
+    153, 66, 43, 106, 133, 50, 22, 103, 182, 68, 172, 164, 89, 170, 166,
+    179, 29, 57, 168, 53, 174, 107, 45, 188, 178, 26, 145, 124, 116, 135,
+    214, 213, 129, 10, 125, 223, 171, 194, 173, 249, 111, 241, 254, 81, 85,
+    97, 91, 215, 21, 189, 130, 155, 272, 186, 227, 80, 56, 200, 17, 96,
+    126, 142, 230, 139, 270, 235, 226, 232, 112, 162, 83, 175, 225, 180,
+    281, 273, 247, 151, 20, 259, 267, 197, 120, 108, 33, 147, 146, 204,
+    236, 74, 184, 193, 239, 190, 243, 229, 150, 161, 195, 159, 283, 202,
+    46, 217, 279, 19, 123, 17, 169, 224, 198, 246, 245, 216, 244, 271, 160,
+    212, 149, 268, 210, 237, 220, 87, 240, 201, 265, 156, 287, 128, 255,
+    148, 250, 196, 295, 61, 298, 218, 234, 134, 256, 285, 121, 228, 122,
+    211, 260, 177, 291, 242, 114, 75, 203, 208, 127, 205, 191, 269, 252,
+    144, 263, 192, 294, 290, 261, 284, 185, 207, 238, 101, 276, 296, 209,
+    282, 262, 183, 258, 231, 119, 275, 221, 293, 222, 98, 248, 266, 280,
+    44, 154, 257, 233, 253, 117, 286, 77, 199, 292, 206, 219, 105, 289, 69,
+    84, 63, 95, 297, 251, 278, 274, 176, 167, 299, 288, 187, 264, 100, 277,
+]
+
+
+def test_queue_pop_order_is_pinned_fifo_and_shuffled():
+    assert _queue_pop_order(None) == _FIFO_ORDER
+    assert _queue_pop_order(random.Random(7)) == _SHUFFLED_ORDER
+
+
+# A pop's mutation count is its outcome's fixed base plus one per entry
+# it enqueued; an interaction's base is its program's `ops`. A pop that
+# stops the run ("budget", "stuck") pushes its entry back and counts 0.
+_BASE_OPS = {"indirection": 4, "delegation": 1, "loop": 3, "observable": 1,
+             "cyclic": 1, "plumb": 0, "noop": 0, "stale": 0}
+
+
+def test_each_pop_counts_its_outcomes_fixed_mutations(monkeypatch):
+    seen = Counter()
+    inner = engine.process_entry
+
+    def checked(net, entry, **kwargs):
+        sides = tuple(entry.children) if isinstance(entry, EquationNode) else ()
+        before = len(net.queue)
+        outcome, detail = inner(net, entry, **kwargs)
+        if outcome in ("budget", "stuck"):
+            expected = 0
+        elif outcome == "interaction":
+            lhs, rhs = sides
+            program = net.programs[lhs.symbol.id, rhs.symbol.id]
+            expected = program.ops + len(net.queue) - before
+        else:
+            expected = _BASE_OPS[outcome] + len(net.queue) - before
+        assert net._window_ops == expected, (outcome, detail)
+        seen[outcome] += 1
+        return outcome, detail
+
+    monkeypatch.setattr(engine, "process_entry", checked)
+    systems = [parse(text) for text in SOURCES.values()]
+    systems += [make_case(seed) for seed in range(200)]
+    for system in systems:
+        name = system.default_net_name()
+        for mode in ("needed", "full"):
+            for shuffle_seed in (None, 1):
+                for max_steps in (3, 20000):  # 20000 caps the one divergent net
+                    run(load(system, name, mode=mode),
+                        EngineConfig(mode=mode, shuffle_seed=shuffle_seed,
+                                     max_steps=max_steps))
+    result = run(load(parse(MIX), "mix"), EngineConfig(strict_rules=True))
+    assert result.status == "stuck"
+    assert set(seen) == set(_BASE_OPS) | {"interaction", "budget", "stuck"}
 
 
 def test_delegation_chain_steps_scale_linearly():
