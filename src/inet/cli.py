@@ -137,21 +137,23 @@ def _cmd_bench(args) -> int:
         return 1
     system, net_name = loaded
 
-    results = []
+    runs = []  # (stats, status, stuck pair) of each run; residuals are dropped
     elapsed = 0.0
     cfg = _engine_config(args)
     for _ in range(args.repeat):
         net = engine.load(system, net_name, mode=args.mode)
         t0 = time.perf_counter()
-        results.append(engine.run(net, cfg))
+        result = engine.run(net, cfg)
         elapsed += time.perf_counter() - t0
+        runs.append((result.stats, result.status, result.stuck_pair))
+        del net, result
 
     shown = net_name if net_name else "<anonymous>"
-    steps_seen = sorted({r.stats.steps for r in results})
-    total_steps = sum(r.stats.steps for r in results)
-    max_ops = max(r.stats.max_ops_per_step for r in results)
-    max_reads = max(r.stats.max_reads_per_step for r in results)
-    first = results[0].stats
+    steps_seen = sorted({stats.steps for stats, _, _ in runs})
+    total_steps = sum(stats.steps for stats, _, _ in runs)
+    max_ops = max(stats.max_ops_per_step for stats, _, _ in runs)
+    max_reads = max(stats.max_reads_per_step for stats, _, _ in runs)
+    first = runs[0][0]
     print(f"runs={args.repeat} net={shown} mode={args.mode}")
     print(
         f"steps_per_run={','.join(map(str, steps_seen))} "
@@ -165,10 +167,10 @@ def _cmd_bench(args) -> int:
         f"time_total_s={elapsed:.6f} "
         f"steps_per_s={total_steps / max(elapsed, 1e-9):.0f}"
     )
-    worst = max(_STATUS_EXIT[r.status] for r in results)
-    for r in results:
-        if r.status == "stuck":
-            a, b = r.stuck_pair
+    worst = max(_STATUS_EXIT[status] for _, status, _ in runs)
+    for _, status, stuck_pair in runs:
+        if status == "stuck":
+            a, b = stuck_pair
             _err(f"stuck: no rule for needed pair {a}><{b}")
             break
     return worst

@@ -400,9 +400,16 @@ def validate_system(system: InteractionSystem) -> list:
     is pure; the same system always yields the same diagnostics. Each
     rule and each net is walked once.
     """
+    diags = rule_diagnostics(system)
+    for net_name in system.nets:
+        diags += net_diagnostics(system, net_name)
+    return diags
+
+
+def rule_diagnostics(system: InteractionSystem) -> list:
+    """`validate_system`'s diagnostics for the rules, in its order."""
     diags: list[Diagnostic] = []
     by_name = system.signature._by_name
-
     for rule in system.rules:
         counts, first_loc = {}, {}
         for side in (rule.left, rule.right):
@@ -440,21 +447,25 @@ def validate_system(system: InteractionSystem) -> list:
             f"{rule.left.symbol.name}><{rule.right.symbol.name}",
             rule.loc,
         ))
+    return diags
 
-    for net_name, config in system.nets.items():
-        label = f"in net {net_name!r}" if net_name else "in net"
-        counts, first_loc = {}, {}
-        _check_terms([side for eq in config.equations for side in (eq.lhs, eq.rhs)],
-                     by_name, label, diags, counts, first_loc)
-        for name, n in counts.items():
-            if n != 2:
-                diags.append(Diagnostic(
-                    NAME_LINEARITY,
-                    f"name {name!r} occurs {n} time(s) {label}; "
-                    f"names must occur exactly twice or not at all",
-                    first_loc[name],
-                ))
 
+def net_diagnostics(system: InteractionSystem, net_name: str) -> list:
+    """`validate_system`'s diagnostics for one of the system's nets."""
+    diags: list[Diagnostic] = []
+    label = f"in net {net_name!r}" if net_name else "in net"
+    counts, first_loc = {}, {}
+    config = system.nets[net_name]
+    _check_terms([side for eq in config.equations for side in (eq.lhs, eq.rhs)],
+                 system.signature._by_name, label, diags, counts, first_loc)
+    for name, n in counts.items():
+        if n != 2:
+            diags.append(Diagnostic(
+                NAME_LINEARITY,
+                f"name {name!r} occurs {n} time(s) {label}; "
+                f"names must occur exactly twice or not at all",
+                first_loc[name],
+            ))
     return diags
 
 

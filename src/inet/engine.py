@@ -8,6 +8,16 @@ step. A name is a pair of mutually linked wire halves.
 `RuntimeNet.equations` keeps every equation ever created, in creation
 order; dead ones are flagged `alive = False`.
 
+Only the open spine of the input is built: `load` makes a node for each
+equation side and each agent term with a name or a `!` at or below it.
+A closed argument stays in its parent's slot as the input `AgentTerm`
+itself, read-only and with no parent link, since demand never starts
+or lands inside it. An interaction that moves such a term onto an
+equation side opens it one level, into a node whose `source` is the
+term and whose slots hold the term's arguments. So equation sides are
+always nodes, the wire classifier walks a slot-held term's `args` as it
+walks a node's children, and readback returns the term as it is.
+
 Reduction pops entries off a queue of needed entities (term nodes or
 equations) and performs one of three counted steps:
 
@@ -34,14 +44,17 @@ In `full` mode the queue holds every equation, needed markers are
 ignored, and reduction runs to full normal form; it serves as the
 differential oracle for the demand-driven mode.
 
-Readback pays only for what reduction touched: a loaded agent keeps the
-input term it came from until a step changes its slots or its needed
-flag, and readback returns that very term for every subtree no step
-changed. The residual therefore shares untouched subterms with the
-input configuration, and callers must not mutate them. `load`, `run`
-and `readback` pause the cyclic collector (`core.collector_paused`):
-they create no cyclic garbage, and a dropped net unlinks its graph, so
-reference counting frees it.
+Load walks the input net once: the walk that builds the spine also
+checks every term, and `validate_system` runs only if that check or
+the one on the rules and other nets flags. Readback pays only for what
+reduction touched: a loaded agent keeps the input term it came from
+until a step changes its slots or its needed flag, and readback returns
+that very term for every subtree no step changed. The residual
+therefore shares untouched subterms with the input configuration, and
+callers must not mutate them. `load`, `run` and `readback` pause the
+cyclic collector (`core.collector_paused`): they create no cyclic
+garbage, and a dropped net unlinks its graph, so reference counting
+frees it.
 """
 
 from __future__ import annotations
@@ -59,6 +72,9 @@ from .core import (
     InteractionSystem,
     InvalidSystemError,
     NameTerm,
+    net_diagnostics,
+    rule_diagnostics,
+    UnknownNetError,
     validate_system,
 )
 
@@ -71,7 +87,9 @@ class AgentNode:
 
     `source` is the input `AgentTerm` a loaded node was built from, kept
     while the node's subtree still equals it; nodes made by rules have
-    none.
+    none. A node built from a term starts with the term's arguments in
+    its slots: a closed one (no name, no `!` in it) stays there as the
+    input term itself, read-only, with no parent link.
     """
 
     __slots__ = ("symbol", "children", "parent", "needed", "in_queue", "alive",
@@ -79,7 +97,9 @@ class AgentNode:
 
     def __init__(self, symbol, needed, source=None):
         self.symbol = symbol
-        self.children = [None] * symbol.arity
+        self.children = children = [None] * symbol.arity
+        if source is not None:
+            children[:] = source.args
         self.parent = None
         self.needed = needed
         self.in_queue = False
@@ -175,7 +195,10 @@ class _Queue:
 
     Entries are AgentNodes or EquationNodes carrying an `in_queue` flag;
     an entity is resident at most once. With an RNG, pops are uniform
-    over the current contents instead of FIFO.
+    over the current contents instead of FIFO: the drawn entry swaps
+    with the last one. The entries are kept in a `deque` while pops are
+    FIFO and in a `list` while they are drawn, so both pops are O(1); a
+    pop of the other kind converts them once, in order.
     """
 
     def __init__(self):
@@ -195,15 +218,19 @@ class _Queue:
     def push_front(self, entry):
         """Return an already-popped entry to the head (budget or strict stop)."""
         entry.in_queue = True
-        self._items.appendleft(entry)
+        self._items.insert(0, entry)
 
     def pop(self, rng=None):
         items = self._items
         if not items:
             return None
         if rng is None:
+            if items.__class__ is not deque:
+                items = self._items = deque(items)
             entry = items.popleft()
         else:
+            if items.__class__ is not list:
+                items = self._items = list(items)
             i = rng.randrange(len(items))
             entry = items[i]
             items[i] = items[-1]
@@ -247,14 +274,15 @@ class RuntimeNet:
         Parent and partner links make the graph cyclic, and library calls
         pause the cyclic collector, whose passes then grow rare. Every
         child list (of live and dead owners alike) is emptied once and
-        every wire drops its partner, which leaves no cycle.
+        every wire drops its partner, which leaves no cycle. Slot-held
+        input terms belong to the input configuration and are left whole.
         """
         stack = list(self.equations)
         while stack:
             node = stack.pop()
             if isinstance(node, WireHalf):
                 node.partner = None
-            elif node is not None:
+            elif isinstance(node, _OWNERS):
                 stack += node.children
                 node.children.clear()
 
@@ -280,30 +308,56 @@ class RuntimeNet:
         return [eq for eq in self.equations if eq.alive]
 
 
+_OWNERS = (AgentNode, EquationNode)
+_GRAPH_NODES = (AgentNode, WireHalf)  # what else sits in a slot is an input term
+
+
 # --- template copy and loading ------------------------------------------------
 
 def instantiate(net, config):
-    """Copy every equation of an input configuration into the graph.
+    """Copy the open spine of an input configuration into the graph.
 
-    Returns the needed-marked nodes created. Iterative: each equation's
-    left side, then its right, in preorder. Each wire keeps its name as
-    a label, so user names survive to the residual, and each agent keeps
-    its term as `source`. Needed markers are dropped in full mode (a
-    node that loses one is logged in `net.touched`).
+    An agent term is open when a name or a `!` sits at or below it. One
+    walk, each equation's left side and then its right in preorder,
+    checks every term and builds a node for each equation side and each
+    open term; every other argument, a closed term, stays in its
+    parent's slot as the input term itself. A term's node is built when
+    the walk first meets a name or a `!` at or below it (`_open_path`),
+    so nodes, wires and needed markers come in preorder. Each wire keeps
+    its name as a label, so user names survive to the residual, and each
+    agent keeps its term as `source`. Needed markers are dropped in full
+    mode (a node that loses one is logged in `net.touched`).
+
+    Returns (needed nodes created, passed). `passed` is False if a
+    term's symbol is not the very object the net's signature declares
+    under its name, a term's argument count is not its arity, or a name
+    does not occur exactly twice: so it is False whenever
+    `validate_system` reports the net, and also for an equal symbol that
+    is not the declared object.
     """
     keep_needed = net.mode != FULL
     pair_id = net._pair_seq
     bindings = {}  # name -> the wire half awaiting its second occurrence
+    counts = {}
     needed_nodes = []
+    passed = True
+    declared = net.signature._by_name.get
     stack = []
+    push = stack.append
+    pop = stack.pop
     for ast_eq in config.equations:
         eq = EquationNode()
         net.equations.append(eq)
-        stack += ((ast_eq.rhs, eq, 1), (ast_eq.lhs, eq, 0))
+        # A frame is [term, parent frame, slot in the parent, node or None].
+        top = [None, None, None, eq]
+        push([ast_eq.rhs, top, 1, None])
+        push([ast_eq.lhs, top, 0, None])
         while stack:
-            t, owner, i = stack.pop()
+            frame = pop()
+            t, up, i, _ = frame
             if isinstance(t, NameTerm):
                 name = t.name
+                counts[name] = counts.get(name, 0) + 1
                 node = bindings.pop(name, None)
                 if node is None:
                     node = WireHalf(name, pair_id)
@@ -315,21 +369,53 @@ def instantiate(net, config):
                         net.n_labels[name] = node
                     pair_id += 1
             else:
+                sym = t.symbol
+                args = t.args
+                if declared(sym.name) is not sym or len(args) != sym.arity:
+                    passed = False
                 needed = t.needed
-                node = AgentNode(t.symbol, needed and keep_needed, t)
+                k = len(args)
+                if up is not top and not needed:
+                    while k:
+                        k -= 1
+                        push([args[k], frame, k, None])
+                    continue
+                node = frame[3] = AgentNode(sym, needed and keep_needed, t)
                 if needed:
                     if keep_needed:
                         needed_nodes.append(node)
                     else:
                         net.touch(node)
-                args = t.args
-                for j in range(len(args) - 1, -1, -1):
-                    stack.append((args[j], node, j))
+                while k:
+                    k -= 1
+                    push([args[k], frame, k, None])
+            owner = up[3]
+            if owner is None:
+                owner = _open_path(up)
             owner.children[i] = node
             node.parent = owner
-    assert not bindings, "validated configurations pair every name"
     net._pair_seq = pair_id
-    return needed_nodes
+    return needed_nodes, passed and all(n == 2 for n in counts.values())
+
+
+def _open_path(frame):
+    """Build the node of `frame` and of each ancestor without one; return it.
+
+    The frames built here hold neither a root nor a `!` term (those get
+    their nodes when the walk visits them), so every node is unmarked.
+    """
+    path = []
+    while frame[3] is None:
+        path.append(frame)
+        frame = frame[1]
+    owner = frame[3]
+    for frame in reversed(path):
+        t = frame[0]
+        node = frame[3] = AgentNode(t.symbol, False, t)
+        owner.children[frame[2]] = node
+        node.parent = owner
+        owner = node
+    return owner
 
 
 @collector_paused
@@ -339,16 +425,31 @@ def load(system: InteractionSystem, net_name: Optional[str] = None,
 
     Needed mode enqueues every needed-marked node as initial demand;
     full mode drops all needed markers and enqueues every equation.
+
+    The loaded net is walked once (`instantiate`), which checks it and
+    builds only its open spine. The rules and the system's other nets
+    get `validate_system`'s own checks. If any check flags,
+    `validate_system` decides, so an invalid system raises its exact
+    diagnostics, also before an unknown net name.
     """
     if mode not in (NEEDED, FULL):
         raise ValueError(f"unknown mode {mode!r}")
-    diagnostics = validate_system(system)
-    if diagnostics:
-        raise InvalidSystemError(diagnostics)
-    config = system.get_net(net_name)
+    try:
+        config = system.get_net(net_name)
+    except UnknownNetError:
+        diagnostics = validate_system(system)
+        if diagnostics:
+            raise InvalidSystemError(diagnostics) from None
+        raise
 
     net = RuntimeNet(system.signature, system.rules, mode)
-    needed_nodes = instantiate(net, config)
+    needed_nodes, passed = instantiate(net, config)
+    if (not passed or rule_diagnostics(system)
+            or any(net_diagnostics(system, name)
+                   for name, other in system.nets.items() if other is not config)):
+        diagnostics = validate_system(system)
+        if diagnostics:
+            raise InvalidSystemError(diagnostics)
     for entry in needed_nodes if mode == NEEDED else net.equations:
         net.queue.push(net, entry)
     net._window_ops = 0  # loading is not a step
@@ -447,6 +548,9 @@ def interact_step(net, q, program):
         if op == _EQ:
             eq = EquationNode()
             child = roots[a][b]
+            if not isinstance(child, _GRAPH_NODES):
+                # A slot-held input term opens one level as a side.
+                child = AgentNode(child.symbol, False, child)
             eq.children[0] = child
             child.parent = eq
             new_eqs.append(eq)
@@ -521,6 +625,8 @@ def _classify_wire_equation(net, q, wire):
             break
         if isinstance(node, AgentNode):
             pending.extend(node.children)
+        elif not isinstance(node, WireHalf):
+            pending.extend(node.args)  # a slot-held input term
         if not pending:
             kind = "splice"
             break
@@ -689,6 +795,8 @@ def readback(net: RuntimeNet) -> Configuration:
                 term = args[j] = NameTerm(label)
                 if not label:
                     unnamed.setdefault(node.pair_id, []).append(term)
+            elif not isinstance(node, AgentNode):
+                args[j] = node  # a slot-held input term
             elif node.source is not None:
                 args[j] = node.source
             else:
@@ -730,12 +838,16 @@ class _Auditor:
             raise AuditError("steps != interactions + indirections + delegations")
 
         seen = set()
+        held = set()  # ids of the slot-held input terms
         pair_halves: dict = {}
         for eq in net.live_equations():
             stack = [eq]
             while stack:
                 owner = stack.pop()
                 for j, node in enumerate(owner.children):
+                    if node is not None and not isinstance(node, _GRAPH_NODES):
+                        _check_held_term(node, owner, j, held)
+                        continue
                     if node is None or node.parent is not owner:
                         raise AuditError(
                             f"slot {j} of {owner!r} is empty or has a stale parent link"
@@ -769,6 +881,23 @@ class _Auditor:
             queued.add(entry)
             if not entry.in_queue:
                 raise AuditError(f"{entry!r} queued without its in_queue flag")
+
+
+def _check_held_term(term, owner, j, held):
+    """A slot-held input term is closed and sits in exactly one slot."""
+    if id(term) in held:
+        raise AuditError(f"the input term in slot {j} of {owner!r} sits in two slots")
+    held.add(id(term))
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, NameTerm):
+            raise AuditError(f"slot {j} of {owner!r} holds an input term "
+                             f"with the name {t.name!r} in it")
+        if t.needed:
+            raise AuditError(f"slot {j} of {owner!r} holds an input term "
+                             f"with a `!` in it")
+        stack += t.args
 
 
 # --- the scheduler --------------------------------------------------------------

@@ -4,9 +4,11 @@ import json
 import re
 import subprocess
 import sys
+import weakref
 
 import pytest
 
+from inet import engine
 from inet.cli import main
 from inet.fixtures import comb, delegation_chain, fixture_path, fixture_text
 
@@ -222,6 +224,22 @@ def test_bench_single_run(capsys):
     assert main(["bench", ADD, "--repeat", "1"]) == 0
     out, _ = capsys.readouterr()
     assert "runs=1" in out and "steps_per_run=3" in out
+
+
+def test_bench_drops_each_residual_before_the_next_run(monkeypatch, capsys):
+    residuals = []
+    inner = engine.run
+
+    def recording(net, config):
+        assert all(ref() is None for ref in residuals)
+        result = inner(net, config)
+        residuals.append(weakref.ref(result.residual))
+        return result
+
+    monkeypatch.setattr(engine, "run", recording)
+    assert main(["bench", ADD, "--repeat", "3"]) == 0
+    assert len(residuals) == 3
+    assert "steps_per_run=3 " in capsys.readouterr().out
 
 
 def test_bench_gauge_constant_across_chain_depths(tmp_inet, capsys):

@@ -30,10 +30,11 @@ from inet import (
     readback,
     run,
 )
-from inet.core import iter_config_terms
+from inet.core import AgentSymbol, iter_config_terms
 from inet.engine import AgentNode, AuditError, EquationNode, WireHalf, _Auditor
 from inet.fixtures import deep_splice, delegation_chain, fixture_text
 from test_cli_golden import MIX, SOURCES
+from test_collector import add_source
 from test_properties import make_case
 
 
@@ -42,6 +43,7 @@ def count_ast_agents(config):
 
 
 def graph_census(net):
+    """(agent nodes, wire halves) reachable from the live equations."""
     agents, halves = 0, 0
     for eq in net.live_equations():
         for side in eq.children:
@@ -50,7 +52,7 @@ def graph_census(net):
                 node = stack.pop()
                 if isinstance(node, WireHalf):
                     halves += 1
-                else:
+                elif isinstance(node, AgentNode):  # not a slot-held input term
                     agents += 1
                     stack.extend(node.children)
     return agents, halves
@@ -96,6 +98,98 @@ def test_load_errors():
         load(bad, None)
     with pytest.raises(ValueError):
         load(system, "n", mode="sideways")
+
+
+# Load builds nodes only for equation sides and open terms (a name or a
+# `!` at or below them); a closed argument stays in its slot as the input
+# term, and load walks the net once, calling `validate_system` only when
+# its own check flags.
+
+def test_needed_load_builds_the_same_nodes_at_any_size():
+    # S^n(Z) = Add(x, S^n(Z)); !Res = x: the two roots, Add, Res and the
+    # two halves of x, whatever n is.
+    for n in (10, 10 ** 3, 10 ** 5):
+        system = parse(add_source(n))
+        net = load(system, "add")
+        assert graph_census(net) == (3, 2), n
+        # The root S^n(Z) holds the input term S^(n-1)(Z) in its slot.
+        lhs = system.get_net("add").equations[0].lhs
+        assert net.equations[0].children[0].children[0] is lhs.args[0]
+
+
+@pytest.mark.parametrize("mode", ["needed", "full"])
+def test_load_run_and_drop_leave_the_input_unchanged(mode):
+    systems = [(parse(add_source(300)), "add"),
+               (parse(fixture_text("omega")), "omega"),
+               (parse(DEMAND_ADD), "a")]
+    systems += [(make_case(seed), "r") for seed in range(40)]
+    for system, name in systems:
+        config = system.get_net(name)
+        text = format_config(config)
+        net = load(system, name, mode=mode)
+        result = run(net, EngineConfig(max_steps=2000, audit=True))
+        if mode == "needed":
+            run(net, EngineConfig(mode="full", max_steps=2000, audit=True))
+        del net, result
+        assert format_config(config) == text
+
+
+INVALID_NETS = {
+    "name once": "net n { S(x) = A; }",
+    "name three times": "net n { S(x) = S(x); x = A; }",
+    "name four times": "net n { S(x) = S(x); x = x; }",
+    "arity on a root": "net n { S = A; }",
+    "arity in a closed term": "net n { S(S(A, A)) = A; }",
+}
+
+
+@pytest.mark.parametrize("case", INVALID_NETS)
+def test_load_raises_validate_diagnostics_for_an_invalid_net(case):
+    system = parse("agent A/0 agent S/1\n" + INVALID_NETS[case])
+    expected = [str(d) for d in engine.validate_system(system)]
+    assert expected
+    with pytest.raises(InvalidSystemError) as caught:
+        load(system, "n")
+    assert [str(d) for d in caught.value.diagnostics] == expected
+
+
+@pytest.mark.parametrize("symbol", [AgentSymbol(7, "Q", 0), AgentSymbol(0, "A", 1)])
+def test_load_raises_for_an_undeclared_symbol_deep_in_a_closed_term(symbol):
+    system = parse("agent A/0 agent S/1\nnet n { S(S(A)) = A; }")
+    system.get_net("n").equations[0].lhs.args[0].args[0].symbol = symbol
+    with pytest.raises(InvalidSystemError) as caught:
+        load(system, "n")
+    assert "UndeclaredSymbol" in str(caught.value)
+
+
+def test_load_raises_for_an_invalid_net_beside_the_loaded_one():
+    system = parse("agent A/0 agent B/0\n"
+                   "net ok { A = B; }\nnet bad { A = x; }")
+    with pytest.raises(InvalidSystemError) as caught:
+        load(system, "ok")
+    assert "in net 'bad'" in str(caught.value)
+
+
+def test_load_validates_only_after_its_own_check_flags(monkeypatch):
+    calls = []
+    inner = engine.validate_system
+
+    def counting(system):
+        calls.append(system)
+        return inner(system)
+
+    monkeypatch.setattr(engine, "validate_system", counting)
+    system = parse(add_source(50))
+    load(system, "add")
+    assert calls == []
+    # An equal symbol that is not the declared object is a false alarm:
+    # `validate_system` accepts it, and load goes on.
+    nat = system.get_net("add").equations[0].lhs.args[0]
+    nat.symbol = AgentSymbol(nat.symbol.id, nat.symbol.name, nat.symbol.arity)
+    result = run(load(system, "add", mode="full"), EngineConfig(audit=True))
+    assert calls == [system]
+    assert format_config(result.residual, canon=True) == (
+        "Res = " + "S(" * 100 + "Z" + ")" * 100 + ";")
 
 
 def test_process_entry_delegation_then_plumbing(omega_system):
@@ -693,7 +787,8 @@ def test_deep_splice_reads_grow_with_the_user_net(depth):
 
 
 # Each case breaks one invariant of a freshly loaded, audited-clean net;
-# the audit must name it. g.k = K(x1, g.s), g.s = !S(A), g.s2 = S(x2).
+# the audit must name it. g.k = K(x1, g.s), g.s = !S(g.a), g.s2 = S(x2),
+# and g.a is the closed input term A, held in the slot of g.s.
 
 def _corrupt(g, case):
     if case == "stale parent link":
@@ -718,6 +813,12 @@ def _corrupt(g, case):
         g.s.in_queue = False
     elif case == "steps out of sum":
         g.net.stats.steps += 1
+    elif case == "name in a held term":
+        g.s.children[0] = AgentTerm(g.s.symbol, [NameTerm("z")])
+    elif case == "marker in a held term":
+        g.s.children[0] = AgentTerm(g.a.symbol, [], True)
+    elif case == "held term in two slots":
+        g.k.children[0] = g.a
 
 
 @pytest.mark.parametrize("case, message", [
@@ -732,6 +833,9 @@ def _corrupt(g, case):
     ("queued twice", "<!S> is resident in the queue twice"),
     ("in_queue flag missing", "<!S> queued without its in_queue flag"),
     ("steps out of sum", "steps != interactions"),
+    ("name in a held term", "slot 0 of <!S> holds an input term with the name 'z'"),
+    ("marker in a held term", "slot 0 of <!S> holds an input term with a `!`"),
+    ("held term in two slots", "the input term in slot 0 of <!S> sits in two slots"),
 ])
 def test_audit_rejects_each_corruption(case, message):
     system = parse("agent A/0 agent S/1 agent K/2\n"
@@ -744,6 +848,8 @@ def test_audit_rejects_each_corruption(case, message):
     s2 = eq1.children[0]
     g = SimpleNamespace(net=net, eq0=eq0, eq1=eq1, k=k, x1=k.children[0],
                         s=k.children[1], s2=s2, x2=s2.children[0])
+    g.a = g.s.children[0]
+    assert g.a is system.get_net("n").equations[0].lhs.args[1].args[0]
     assert net.queue.entries() == [g.s]
     _corrupt(g, case)
     with pytest.raises(AuditError) as caught:
@@ -759,8 +865,9 @@ def rebuild_residual(net):
     """The residual of `net` rebuilt from its runtime graph, with no reuse.
 
     Wires made by rules are named n0, n1, ... in left-to-right order of
-    first occurrence, skipping every user name still in the graph.
-    Recursive: the nets it reads are shallow.
+    first occurrence, skipping every user name still in the graph. A
+    slot-held input term is copied too. Recursive: the nets it reads are
+    shallow.
     """
     roots = [eq.children for eq in net.live_equations()]
     taken = set()
@@ -768,7 +875,7 @@ def rebuild_residual(net):
     def gather(node):
         if isinstance(node, WireHalf):
             taken.add(node.label)
-        else:
+        elif isinstance(node, AgentNode):  # a slot-held input term has no name
             for child in node.children:
                 gather(child)
 
@@ -785,8 +892,8 @@ def rebuild_residual(net):
             if node.pair_id not in names:
                 names[node.pair_id] = next(fresh)
             return NameTerm(names[node.pair_id])
-        return AgentTerm(node.symbol, [term(c) for c in node.children],
-                         node.needed)
+        args = node.children if isinstance(node, AgentNode) else node.args
+        return AgentTerm(node.symbol, [term(c) for c in args], node.needed)
 
     return Configuration([Equation(term(lhs), term(rhs)) for lhs, rhs in roots])
 
