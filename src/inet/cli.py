@@ -1,7 +1,8 @@
 """Command-line front end: check, run, and bench interaction-net files.
 
 Exit codes: 0 success / normal form, 1 parse or validation failure,
-a bad flag or flag value, an unwritable --stats path or an output pipe
+a bad flag or flag value, an unwritable --stats path, a failed write of
+stdout or of the --stats file (a full disk, say) or an output pipe
 closed by its reader, 2 step limit reached, 3 stuck pair under
 --strict-rules.
 Residuals go to stdout; diagnostics, traces, and bench noise stay on
@@ -14,7 +15,6 @@ import argparse
 import os
 import sys
 import time
-from contextlib import nullcontext
 from pathlib import Path
 
 from . import engine
@@ -109,17 +109,21 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         _err(f"{args.stats}: {exc.strerror or exc}")
         return 1
-    with stats_out or nullcontext():
-        net = engine.load(system, net_name, mode=args.mode)
-        result = engine.run(net, _engine_config(args, trace=args.trace))
-        if args.trace:
-            for line in result.trace:
-                print(line, file=sys.stderr)
-        text = format_config(result.residual, canon=args.canon)
-        if text:
-            print(text)
-        if stats_out is not None:
-            stats_out.write(stats_json(result.stats, result) + "\n")
+    net = engine.load(system, net_name, mode=args.mode)
+    result = engine.run(net, _engine_config(args, trace=args.trace))
+    if args.trace:
+        for line in result.trace:
+            print(line, file=sys.stderr)
+    text = format_config(result.residual, canon=args.canon)
+    if text:
+        print(text)
+    if stats_out is not None:
+        try:
+            with stats_out:
+                stats_out.write(stats_json(result.stats, result) + "\n")
+        except OSError as exc:
+            _err(f"{args.stats}: {exc.strerror or exc}")
+            return 1
     if result.status == "stuck":
         a, b = result.stuck_pair
         _err(f"stuck: no rule for needed pair {a}><{b}")
@@ -234,16 +238,27 @@ def _build_parser():
     return parser
 
 
+def _to_devnull(*streams):
+    """Point streams at the null device, so the flush at exit cannot fail."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    for stream in streams:
+        os.dup2(devnull, stream.fileno())
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except BrokenPipeError:
-        # The reader closed the pipe early. Point both streams at the
-        # null device so the flush at exit writes nowhere instead of failing.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.dup2(devnull, sys.stderr.fileno())
+        # The reader closed the pipe early.
+        _to_devnull(sys.stdout, sys.stderr)
+        return 1
+    except OSError as exc:
+        # stdout could not be written; what it still buffers is dropped.
+        _err(f"stdout: {exc.strerror or exc}")
+        _to_devnull(sys.stdout)
         return 1
 
 

@@ -2,21 +2,19 @@
 
 The runtime graph has one node shape: agents and equations are owners
 with a `children` list (an agent has one slot per argument, an equation
-two, its left and right side), and every agent and wire half links back
+two, its left and right side), and every agent node and wire half links back
 to the owner whose slot holds it, so demand can climb one level per
 step. A name is a pair of mutually linked wire halves.
 `RuntimeNet.equations` keeps every equation ever created, in creation
 order; dead ones are flagged `alive = False`.
 
 Only the open spine of the input is built: `load` makes a node for each
-equation side and each agent term with a name or a `!` at or below it.
-A closed argument stays in its parent's slot as the input `AgentTerm`
-itself, read-only and with no parent link, since demand never starts
-or lands inside it. An interaction that moves such a term onto an
-equation side opens it one level, into a node whose `source` is the
-term and whose slots hold the term's arguments. So equation sides are
-always nodes, the wire classifier walks a slot-held term's `args` as it
-walks a node's children, and readback returns the term as it is.
+agent term with a name or a `!` at or below it. Every other term, a
+closed one, stays where the input put it, in its parent's slot or on its
+equation's side, as the input `AgentTerm` itself: read-only and with no
+parent link, since demand never starts or lands inside it. A step moves
+such a held term as it is; an interaction reads a held root's `args`
+and the wire classifier walks them, as each does a node's children.
 
 Reduction pops entries off a queue of needed entities (term nodes or
 equations) and performs one of three counted steps:
@@ -46,15 +44,13 @@ differential oracle for the demand-driven mode.
 
 Load walks the input net once: the walk that builds the spine also
 checks every term, and `validate_system` runs only if that check or
-the one on the rules and other nets flags. Readback pays only for what
-reduction touched: a loaded agent keeps the input term it came from
-until a step changes its slots or its needed flag, and readback returns
-that very term for every subtree no step changed. The residual
-therefore shares untouched subterms with the input configuration, and
-callers must not mutate them. `load`, `run` and `readback` pause the
-cyclic collector (`core.collector_paused`): they create no cyclic
-garbage, and a dropped net unlinks its graph, so reference counting
-frees it.
+the one on the rules and other nets flags. Readback walks the live
+graph, the spine load built plus what steps made, and returns a held
+term as it is, so the residual shares held subterms with the input
+configuration and callers must not mutate them. `load`, `run` and
+`readback` pause the cyclic collector (`core.collector_paused`): they
+create no cyclic garbage, and a dropped net unlinks its graph, so
+reference counting frees it.
 """
 
 from __future__ import annotations
@@ -85,26 +81,21 @@ FULL = "full"
 class AgentNode:
     """Runtime agent; `children` has exactly `symbol.arity` slots.
 
-    `source` is the input `AgentTerm` a loaded node was built from, kept
-    while the node's subtree still equals it; nodes made by rules have
-    none. A node built from a term starts with the term's arguments in
-    its slots: a closed one (no name, no `!` in it) stays there as the
-    input term itself, read-only, with no parent link.
+    A node built from an input term starts with the term's `args` in its
+    slots: a closed one (no name, no `!` in it) stays there as the input
+    term itself, read-only, with no parent link. A node made by a rule
+    starts with empty slots.
     """
 
-    __slots__ = ("symbol", "children", "parent", "needed", "in_queue", "alive",
-                 "source")
+    __slots__ = ("symbol", "children", "parent", "needed", "in_queue", "alive")
 
-    def __init__(self, symbol, needed, source=None):
+    def __init__(self, symbol, needed, args=None):
         self.symbol = symbol
-        self.children = children = [None] * symbol.arity
-        if source is not None:
-            children[:] = source.args
+        self.children = [None] * symbol.arity if args is None else list(args)
         self.parent = None
         self.needed = needed
         self.in_queue = False
         self.alive = True
-        self.source = source
 
     def __repr__(self):
         mark = "!" if self.needed else ""
@@ -129,13 +120,15 @@ class WireHalf:
 
 
 class EquationNode:
-    """An equation; `children` holds its two sides (agents or wire halves)."""
+    """An equation; `children` holds its two sides.
+
+    A side is an agent node, a wire half or a held input term.
+    """
 
     __slots__ = ("children", "alive", "in_queue", "terminal")
-    source = None  # equations are never read back from an input term
 
-    def __init__(self):
-        self.children = [None, None]
+    def __init__(self, lhs, rhs=None):
+        self.children = [lhs, rhs]
         self.alive = True
         self.in_queue = False
         self.terminal = None  # None | "observable" | "cyclic"
@@ -245,8 +238,7 @@ class _Queue:
 class RuntimeNet:
     """The mutable graph plus its queue, counters, and allocation state.
 
-    `touched` logs each loaded agent whose own slots or needed flag
-    changed since the last readback; `n_labels` maps each user name that
+    `n_labels` maps each user name that
     starts with `n` to one half of its wire, so readback can tell which
     fresh names `n{k}` are taken without walking the residual.
     `programs` maps an ordered pair of symbol ids to its compiled rule
@@ -263,7 +255,6 @@ class RuntimeNet:
         self.queue = _Queue()
         self.stats = Stats()
         self.pop_count = 0
-        self.touched: list[AgentNode] = []
         self.n_labels: dict = {}
         self._pair_seq = 0
         self._window_ops = 0
@@ -274,8 +265,8 @@ class RuntimeNet:
         Parent and partner links make the graph cyclic, and library calls
         pause the cyclic collector, whose passes then grow rare. Every
         child list (of live and dead owners alike) is emptied once and
-        every wire drops its partner, which leaves no cycle. Slot-held
-        input terms belong to the input configuration and are left whole.
+        every wire drops its partner, which leaves no cycle. Held input
+        terms belong to the input configuration and are left whole.
         """
         stack = list(self.equations)
         while stack:
@@ -287,29 +278,21 @@ class RuntimeNet:
                 node.children.clear()
 
     # -- `instantiate` and the step bodies write the graph inline, and each
-    #    step adds its fixed mutation count to the gauge window once. A
-    #    change to a loaded agent also drops its `source` and logs it in
-    #    `touched`, once per node and outside the gauge.
-
-    def touch(self, node):
-        """Drop the `source` of a loaded agent that still has one; log it."""
-        node.source = None
-        self.touched.append(node)
+    #    step adds its fixed mutation count to the gauge window once.
 
     def set_slot(self, owner, idx, node):
-        """Write a child slot and the node's owner link (one splice)."""
+        """Write a child slot and a graph node's owner link (one splice)."""
         owner.children[idx] = node
-        node.parent = owner
+        if isinstance(node, _GRAPH_NODES):
+            node.parent = owner
         self._window_ops += 1
-        if owner.source is not None:
-            self.touch(owner)
 
     def live_equations(self):
         return [eq for eq in self.equations if eq.alive]
 
 
 _OWNERS = (AgentNode, EquationNode)
-_GRAPH_NODES = (AgentNode, WireHalf)  # what else sits in a slot is an input term
+_GRAPH_NODES = (AgentNode, WireHalf)  # what else sits in a slot is a held term
 
 
 # --- template copy and loading ------------------------------------------------
@@ -319,14 +302,13 @@ def instantiate(net, config):
 
     An agent term is open when a name or a `!` sits at or below it. One
     walk, each equation's left side and then its right in preorder,
-    checks every term and builds a node for each equation side and each
-    open term; every other argument, a closed term, stays in its
-    parent's slot as the input term itself. A term's node is built when
-    the walk first meets a name or a `!` at or below it (`_open_path`),
-    so nodes, wires and needed markers come in preorder. Each wire keeps
-    its name as a label, so user names survive to the residual, and each
-    agent keeps its term as `source`. Needed markers are dropped in full
-    mode (a node that loses one is logged in `net.touched`).
+    checks every term and builds a node for each open term, roots
+    included; every other term, a closed one, stays on its equation's
+    side or in its parent's slot as the input term itself. A term's node
+    is built when the walk first meets a name or a `!` at or below it
+    (`_open_path`), so nodes, wires and needed markers come in preorder.
+    Each wire keeps its name as a label, so user names survive to the
+    residual. Needed markers are dropped in full mode.
 
     Returns (needed nodes created, passed). `passed` is False if a
     term's symbol is not the very object the net's signature declares
@@ -346,7 +328,7 @@ def instantiate(net, config):
     push = stack.append
     pop = stack.pop
     for ast_eq in config.equations:
-        eq = EquationNode()
+        eq = EquationNode(ast_eq.lhs, ast_eq.rhs)
         net.equations.append(eq)
         # A frame is [term, parent frame, slot in the parent, node or None].
         top = [None, None, None, eq]
@@ -373,22 +355,15 @@ def instantiate(net, config):
                 args = t.args
                 if declared(sym.name) is not sym or len(args) != sym.arity:
                     passed = False
-                needed = t.needed
                 k = len(args)
-                if up is not top and not needed:
-                    while k:
-                        k -= 1
-                        push([args[k], frame, k, None])
-                    continue
-                node = frame[3] = AgentNode(sym, needed and keep_needed, t)
-                if needed:
-                    if keep_needed:
-                        needed_nodes.append(node)
-                    else:
-                        net.touch(node)
                 while k:
                     k -= 1
                     push([args[k], frame, k, None])
+                if not t.needed:
+                    continue
+                node = frame[3] = AgentNode(sym, keep_needed, args)
+                if keep_needed:
+                    needed_nodes.append(node)
             owner = up[3]
             if owner is None:
                 owner = _open_path(up)
@@ -401,8 +376,8 @@ def instantiate(net, config):
 def _open_path(frame):
     """Build the node of `frame` and of each ancestor without one; return it.
 
-    The frames built here hold neither a root nor a `!` term (those get
-    their nodes when the walk visits them), so every node is unmarked.
+    The frames built here hold no `!` term (that one gets its node when
+    the walk visits it), so every node is unmarked.
     """
     path = []
     while frame[3] is None:
@@ -411,7 +386,7 @@ def _open_path(frame):
     owner = frame[3]
     for frame in reversed(path):
         t = frame[0]
-        node = frame[3] = AgentNode(t.symbol, False, t)
+        node = frame[3] = AgentNode(t.symbol, False, t.args)
         owner.children[frame[2]] = node
         node.parent = owner
         owner = node
@@ -529,15 +504,24 @@ def compile_rule(rule, swapped):
 
 
 def interact_step(net, q, program):
-    """Fire a compiled rule on equation `q`; both sides must be agent nodes.
+    """Fire a compiled rule on equation `q`; both sides must be agents.
 
     Each argument of each root is re-rooted into a fresh equation
-    against its template copy; the two roots and the equation die.
-    Template `!` markers are kept in needed mode and dropped in full
-    mode, read from `net.mode` here, so a program outlives a switch.
+    against its template copy; the two roots and the equation die. A
+    side may be a held input term: its `args` are read as a node's
+    children are, and a held argument goes onto its new equation's side
+    as it is. Template `!` markers are kept in needed mode and dropped
+    in full mode, read from `net.mode` here, so a program outlives a
+    switch.
     """
-    lhs, rhs = q.children
-    roots = (lhs.children, rhs.children)
+    q.alive = False
+    roots = []
+    for root in q.children:
+        if isinstance(root, AgentNode):
+            root.alive = False
+            roots.append(root.children)
+        else:
+            roots.append(root.args)  # a held input term
     keep_needed = net.mode != FULL
     pair_id = net._pair_seq
     regs = []
@@ -546,13 +530,10 @@ def interact_step(net, q, program):
     created_needed = []
     for op, a, b, owner, slot in program.code:
         if op == _EQ:
-            eq = EquationNode()
             child = roots[a][b]
-            if not isinstance(child, _GRAPH_NODES):
-                # A slot-held input term opens one level as a side.
-                child = AgentNode(child.symbol, False, child)
-            eq.children[0] = child
-            child.parent = eq
+            eq = EquationNode(child)
+            if isinstance(child, _GRAPH_NODES):
+                child.parent = eq
             new_eqs.append(eq)
             fill(eq)
             continue
@@ -577,7 +558,6 @@ def interact_step(net, q, program):
     net._pair_seq = pair_id
     net.equations += new_eqs
     net._window_ops += program.ops
-    lhs.alive = rhs.alive = q.alive = False
     stats = net.stats
     stats.interactions += 1
     stats.steps += 1
@@ -626,7 +606,7 @@ def _classify_wire_equation(net, q, wire):
         if isinstance(node, AgentNode):
             pending.extend(node.children)
         elif not isinstance(node, WireHalf):
-            pending.extend(node.args)  # a slot-held input term
+            pending.extend(node.args)  # a held input term
         if not pending:
             kind = "splice"
             break
@@ -668,8 +648,6 @@ def delegate_step(net, parent):
     """Propagate demand one level: mark the parent agent and enqueue it."""
     parent.needed = True
     net._window_ops += 1
-    if parent.source is not None:
-        net.touch(parent)
     net.queue.push(net, parent)
     net.stats.delegations += 1
     net.stats.steps += 1
@@ -690,7 +668,7 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None):
         if not entry.alive or entry.terminal is not None:
             return "stale", None
         lhs, rhs = entry.children
-        if isinstance(lhs, AgentNode) and isinstance(rhs, AgentNode):
+        if not isinstance(lhs, WireHalf) and not isinstance(rhs, WireHalf):
             key = (lhs.symbol.id, rhs.symbol.id)
             try:
                 program = net.programs[key]
@@ -756,30 +734,19 @@ def readback(net: RuntimeNet) -> Configuration:
     """Reconstruct the AST configuration of all live equations.
 
     Equations appear in creation order. Wire pairs render as names:
-    user names survive on untouched wires, wires created by rule
+    a wire loaded from the input keeps its user name, wires created by rule
     instantiation get n0, n1, ... in first-occurrence order (skipping
     any surviving user name they would collide with, which
     `net.n_labels` lists). One walk builds each side in left-to-right
     preorder and keeps each unlabelled pair's name terms; those are
     named once the walk is done.
 
-    A loaded agent whose subtree no step has changed reads back as the
-    input `AgentTerm` it was built from, and the walk does not enter it.
-    So the residual shares untouched subterms with the input
+    A held input term reads back as itself, and the walk does not enter
+    it. So the residual shares held subterms with the input
     configuration (callers must not mutate them), and readback costs the
-    nodes that reduction touched, not the size of the residual. First,
-    each node logged in `net.touched` drops the `source` of its
-    ancestors, up to the first one that has none already (that one's
-    ancestors lost theirs with it, or do in this same pass). Afterwards
-    every node below a node with a source has one too, so a node that
-    still has a source heads a subtree exactly as loaded.
+    live graph, the open spine load built plus what steps made, not the
+    size of the residual.
     """
-    for node in net.touched:
-        up = node.parent
-        while up.source is not None:
-            up.source = None
-            up = up.parent
-    net.touched.clear()
     taken = net.n_labels = {label: half for label, half in net.n_labels.items()
                             if half.alive}
     unnamed: dict = {}  # pair id -> its name terms, in first-occurrence order
@@ -796,9 +763,7 @@ def readback(net: RuntimeNet) -> Configuration:
                 if not label:
                     unnamed.setdefault(node.pair_id, []).append(term)
             elif not isinstance(node, AgentNode):
-                args[j] = node  # a slot-held input term
-            elif node.source is not None:
-                args[j] = node.source
+                args[j] = node  # a held input term
             else:
                 children = node.children
                 k = len(children)
@@ -838,7 +803,7 @@ class _Auditor:
             raise AuditError("steps != interactions + indirections + delegations")
 
         seen = set()
-        held = set()  # ids of the slot-held input terms
+        held = set()  # ids of the held input terms
         pair_halves: dict = {}
         for eq in net.live_equations():
             stack = [eq]
@@ -884,7 +849,7 @@ class _Auditor:
 
 
 def _check_held_term(term, owner, j, held):
-    """A slot-held input term is closed and sits in exactly one slot."""
+    """A held input term is closed and sits in exactly one slot."""
     if id(term) in held:
         raise AuditError(f"the input term in slot {j} of {owner!r} sits in two slots")
     held.add(id(term))
@@ -917,10 +882,7 @@ def _switch_to_full(net):
         while stack:
             node = stack.pop()
             if isinstance(node, AgentNode):
-                if node.needed:
-                    node.needed = False
-                    if node.source is not None:
-                        net.touch(node)
+                node.needed = False
                 stack.extend(node.children)
         if eq.terminal is None:
             net.queue.push(net, eq)

@@ -1,6 +1,8 @@
 """CLI behavior: output streams, exit codes, flags, and determinism."""
 
+import errno
 import json
+import os
 import re
 import subprocess
 import sys
@@ -283,3 +285,22 @@ def test_closed_output_pipe_exits_quietly(tmp_inet):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, where", [
+    (["run", ADD], "stdout"),
+    (["bench", ADD, "--repeat", "2"], "stdout"),
+    (["run", ADD, "--stats", "/dev/full"], "/dev/full"),
+])
+def test_a_failed_write_is_one_line_and_exit_1(argv, where):
+    # Every write to /dev/full fails with ENOSPC. The residual, the stats
+    # file and the bench report each fail in their own write or in the
+    # flush at exit.
+    with open("/dev/full", "w") as full:
+        stdout = subprocess.PIPE if where == "/dev/full" else full
+        proc = subprocess.run([sys.executable, "-m", "inet", *argv],
+                              stdout=stdout, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"{where}: {os.strerror(errno.ENOSPC)}"]
