@@ -134,8 +134,11 @@ class EquationNode:
         self.terminal = None  # None | "observable" | "cyclic"
 
     def __repr__(self):
-        lhs, rhs = self.children
-        return f"<eq {lhs!r} = {rhs!r}>"
+        # A held input term shows by its head, as a node does, so the
+        # text stays one short line however large the term is.
+        lhs, rhs = (AgentNode.__repr__(side) if isinstance(side, AgentTerm)
+                    else repr(side) for side in self.children)
+        return f"<eq {lhs} = {rhs}>"
 
 
 @dataclass

@@ -17,8 +17,9 @@ A `!` or an argument list on a name is a parse error. Arity-0 agents may
 be written with or without parentheses.
 
 The scanner checks the input for a stray character with one regex match,
-then splits it into (trivia, token) pairs with one `findall`; token
-offsets are running sums of the pieces' lengths. A (line, column) is
+then splits it once on its trivia runs (whitespace and comments). One
+`findall` cuts each trivia-free run into token strings, whose offsets are
+running sums of their lengths from the run's start. A (line, column) is
 computed only where it is kept, on terms, rules, equations and errors:
 the line by bisecting the newline offsets, the column from that line's
 start, so a tab or a carriage return counts one column.
@@ -30,7 +31,7 @@ import dataclasses
 import json
 import re
 from bisect import bisect_right
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, repeat
 
 from .core import (
     AgentTerm,
@@ -51,16 +52,13 @@ from .core import (
 _KEYWORDS = frozenset({"agent", "rule", "net"})
 _IDENT_START = frozenset("_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
-# Each match is the trivia before a token, then the token, which is
-# empty at the end of input. The token group matches whatever ends the
-# greedy trivia run, so a match never backtracks.
-_TOKEN_RE = re.compile(
-    r"((?:[ \t\r\n]+|\#[^\n]*)*)"
-    r"(><|[!/()\[\]{}=,;]|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[^ \t\r\n\#]|\Z)"
-)
 # Matches the longest prefix made of trivia and well-formed tokens.
 _WELL_FORMED_RE = re.compile(
     r"(?:[ \t\r\n]+|\#[^\n]*|><|[!/()\[\]{}=,;A-Za-z0-9_]+)*")
+# A trivia run; the group makes `split` keep it as every second piece.
+_TRIVIA_RE = re.compile(r"((?:[ \t\r\n]+|\#[^\n]*)+)")
+# Tokens; they cover a trivia-free run of text that passed the check.
+_LEXEME_RE = re.compile(r"><|[!/()\[\]{}=,;]|[A-Za-z_][A-Za-z0-9_]*|[0-9]+")
 _DEPTH_STEP = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
 
 
@@ -85,8 +83,8 @@ def _shown(token):
 
 class _Parser:
     """Recursive descent over tokens by index: `vals[i]` is the text of
-    token i, `starts[i]` its offset. The list ends in one or two empty
-    tokens (end of input); no index past the first is read."""
+    token i, `starts[i]` its offset. The list ends in two empty tokens
+    at the end of input; no index past the first is read."""
 
     def __init__(self, text: str):
         self.line_ends = [-1] + [m.start() for m in re.finditer("\n", text)]
@@ -94,11 +92,17 @@ class _Parser:
         if ok < len(text):
             raise ParseError(f"unexpected character {text[ok]!r}",
                              *self.position(ok))
-        pairs = _TOKEN_RE.findall(text)
-        self.vals = [token for _, token in pairs]
-        # A token starts where the trivia before it ends.
-        self.starts = list(islice(
-            accumulate(map(len, chain.from_iterable(pairs))), 0, None, 2))
+        vals, starts, offset = [], [], 0
+        pieces = iter(_TRIVIA_RE.split(text))
+        for run in pieces:
+            tokens = _LEXEME_RE.findall(run)
+            vals += tokens
+            starts += accumulate(map(len, tokens), initial=offset)
+            # The last sum is the run's end, where its trivia starts.
+            offset = starts.pop() + len(next(pieces, ""))
+        # New lists of exactly their length: these outlive the scan.
+        self.vals = vals + ["", ""]
+        self.starts = starts + [len(text), len(text)]
         self.signature = Signature()
         self.agents = {}  # name -> AgentSymbol, filled by declare_agents
 

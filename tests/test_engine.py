@@ -888,6 +888,24 @@ def test_audit_rejects_each_corruption(case, message):
     assert message in str(caught.value)
 
 
+def test_audit_message_on_a_deep_held_side_is_one_short_line():
+    depth = 10000
+    system = parse(f"agent Z/0 agent S/1\n"
+                   f"net n {{ {'S(' * depth}Z{')' * depth} = Z; }}")
+    net = load(system, "n")
+    auditor = _Auditor(net)
+    auditor.check()
+    eq = net.equations[0]
+    assert eq.children[0] is system.get_net("n").equations[0].lhs
+    eq.children[1] = AgentTerm(eq.children[0].symbol, [NameTerm("w")])
+    with pytest.raises(AuditError) as caught:
+        auditor.check()
+    message = str(caught.value)
+    assert message == ("slot 1 of <eq <S> = <S>> holds an input term "
+                       "with the name 'w' in it")
+    assert "\n" not in message and len(message) < 200
+
+
 # Readback returns a held input term as it is. `rebuild_residual` reads
 # the residual from the graph alone, with every agent a new term, so the
 # two must print the same text.

@@ -1,6 +1,8 @@
 """Parser, printers, and the stats JSON schema."""
 
 import json
+import random
+import re
 
 import pytest
 
@@ -15,8 +17,15 @@ from inet import (
     stats_json,
     validate_system,
 )
-from inet.core import ARGS_ON_NAME, NEEDED_ON_NAME
+from inet.core import (
+    AgentTerm,
+    ARGS_ON_NAME,
+    iter_terms,
+    NameTerm,
+    NEEDED_ON_NAME,
+)
 from inet.fixtures import delegation_chain, fixture_text
+from test_properties import make_case
 
 
 def test_parse_omega_fixture_shape(omega_system):
@@ -137,6 +146,22 @@ PARSE_ERRORS = [
     ("invalid_utf8", b"agent A/0\xff",
      "1:1: input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
      "in position 9: invalid start byte"),
+    # Where the scanner splits the text on trivia runs.
+    ("comment_to_end_of_input", "net { A = # c",
+     "1:14: expected agent or name, got 'end of input'"),
+    ("error_after_name_then_comment", "agent A/0\nnet { A#c\n= A; = }",
+     "3:6: expected agent or name, got '='"),
+    ("rule_operator_split_by_space", "agent A/0 rule A[] > < A[]",
+     "1:20: unexpected character '>'"),
+    ("arity_then_name", "agent A/1B", "1:10: expected 'agent', 'rule', or 'net'"),
+    ("after_crlf_only_lines", "\r\n\r\nagent A/0\r\n\r\nnet { A = ; }",
+     "5:11: expected agent or name, got ';'"),
+    ("after_only_trivia", " \t\r\n# only trivia\n\n}",
+     "4:1: expected 'agent', 'rule', or 'net'"),
+    ("vertical_tab_after_last_token", "agent A/0\x0b",
+     "1:10: unexpected character '\\x0b'"),
+    ("missing_comma_across_comment", "agent A/2\nnet { A(x,#c\ny) = A(x y); }",
+     "3:10: expected ',' or ')', got 'y'"),
 ]
 
 
@@ -147,6 +172,22 @@ def test_parse_error_messages_are_pinned(source, expected):
     with pytest.raises(ParseError) as info:
         parse(source)
     assert str(info.value) == expected
+
+
+# (label, source, format_system of its parse): inputs the trivia split
+# leaves with no token, or with a comment right after a token.
+PARSES = [
+    ("empty", "", ""),
+    ("only_trivia", " \t\r\n# c\n\n# d", ""),
+    ("name_then_comment", "agent A/0\nnet { A#c\n= A; }",
+     "agent A/0\nnet {\n  A = A;\n}\n"),
+]
+
+
+@pytest.mark.parametrize("source, expected", [case[1:] for case in PARSES],
+                         ids=[case[0] for case in PARSES])
+def test_inputs_around_trivia_parse(source, expected):
+    assert format_system(parse(source)) == expected
 
 
 def test_parse_rejects_invalid_utf8():
@@ -183,6 +224,66 @@ def test_roundtrip_deep_chain():
     second = parse(format_system(first))
     assert format_system(first) == format_system(second)
     assert first.nets == second.nets
+
+
+_TRIVIA = (" ", "\t", "\r\n", "\n\n", "# c ( ] {\n", "\n# note; !x\n")
+_WORD = re.compile(r"[A-Za-z0-9_]")
+
+
+def with_random_trivia(text, rng):
+    """`text` re-emitted token by token with random trivia between tokens:
+    the new text and the offset of each of its tokens."""
+    tokens = re.findall(r"><|[A-Za-z0-9_]+|\S", text)
+    pieces, starts, offset = [], [], 0
+    for k, token in enumerate(tokens):
+        trivia = "".join(rng.choices(_TRIVIA, k=rng.randrange(3)))
+        if not trivia and k and _WORD.match(tokens[k - 1][-1]) and _WORD.match(token):
+            trivia = " "
+        pieces += (trivia, token)
+        starts.append(offset + len(trivia))
+        offset = starts[-1] + len(token)
+    return "".join(pieces), tokens, starts
+
+
+def _location_inputs():
+    yield from (fixture_text(name) for name in ("omega", "add"))
+    yield delegation_chain(10000)
+    yield from (format_system(make_case(seed)) for seed in range(200))
+
+
+def test_every_location_points_at_its_token():
+    rng = random.Random(11)
+    for source in _location_inputs():
+        printed = format_system(parse(source))
+        text, tokens, starts = with_random_trivia(printed, rng)
+        system = parse(text)
+        assert systems_equal(system, parse(printed))
+        line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
+        index = {offset: k for k, offset in enumerate(starts)}
+
+        def token_at(loc):
+            line, col = loc
+            return index[line_starts[line - 1] + col - 1]
+
+        def check_term(root):
+            for t in iter_terms(root):
+                k = token_at(t.loc)
+                needed = isinstance(t, AgentTerm) and t.needed
+                head = t.name if isinstance(t, NameTerm) else t.symbol.name
+                assert tokens[k] == head
+                assert (tokens[k - 1] == "!") == needed
+
+        for rule in system.rules:
+            assert tokens[token_at(rule.loc)] == "rule"
+            for t in rule.left.templates + rule.right.templates:
+                check_term(t)
+        for config in system.nets.values():
+            for eq in config.equations:
+                k = token_at(eq.loc)
+                needed = isinstance(eq.lhs, AgentTerm) and eq.lhs.needed
+                assert token_at(eq.lhs.loc) == k + needed
+                check_term(eq.lhs)
+                check_term(eq.rhs)
 
 
 def test_format_config_plain_and_canon(omega_system):
