@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from . import engine
-from .core import validate_system
+from .core import InvalidSystemError, UnknownNetError, validate_system
 from .syntax import format_config, parse, ParseError, stats_json
 
 _STATUS_EXIT = {"normal": 0, "step_limit": 2, "stuck": 3}
@@ -28,59 +28,60 @@ def _err(message):
     print(message, file=sys.stderr)
 
 
-def _load_system(path):
-    """Parse and validate a file; on failure print to stderr and return None."""
+def _parse_file(path):
+    """Read and parse a file; on failure print to stderr and return None."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         _err(f"{path}: {exc.strerror or exc}")
         return None
     try:
-        system = parse(data)
+        return parse(data)
     except ParseError as exc:
         _err(f"{path}:{exc}")
         return None
-    diagnostics = validate_system(system)
-    if diagnostics:
-        for diag in diagnostics:
-            _err(f"{path}:{diag}")
-        return None
-    return system
 
 
-def _resolve_net(system, name):
-    """Return the net name to run, or None after printing an error."""
+def _report(path, diagnostics):
+    """Print each diagnostic as `path:diag`; return whether there were any."""
+    for diag in diagnostics:
+        _err(f"{path}:{diag}")
+    return bool(diagnostics)
+
+
+def _net_problem(system, name):
+    """Why `name`, or no name for the file's only net, picks no net."""
     if not system.nets:
-        _err("file defines no net")
-        return None
+        return "file defines no net"
     if name is not None:
-        if name in system.nets:
-            return name
-        _err(f"no net named {name!r}; available: "
-             + ", ".join(repr(n) for n in system.nets))
-        return None
-    default = system.default_net_name()
-    if default is None:
-        _err(f"file defines {len(system.nets)} nets; pass --net NAME")
-        return None
-    return default
+        return (f"no net named {name!r}; available: "
+                + ", ".join(repr(n) for n in system.nets))
+    return f"file defines {len(system.nets)} nets; pass --net NAME"
 
 
 def _load_net(args):
-    """Check the number flags, load the file and pick its net.
+    """Check the number flags, parse the file and load its net.
 
-    Returns (system, net name), or None after printing why not.
+    `engine.load` validates the system, so a valid file is validated
+    once, and reports an invalid one before an unknown net name.
+    Returns (system, net name, loaded net), or None after printing why not.
     """
     if args.max_steps is not None and args.max_steps < 0:
         _err("--max-steps must be at least 0")
         return None
-    system = _load_system(args.file)
+    system = _parse_file(args.file)
     if system is None:
         return None
-    net_name = _resolve_net(system, args.net)
-    if net_name is None:
+    net_name = system.default_net_name() if args.net is None else args.net
+    try:
+        net = engine.load(system, net_name, mode=args.mode)
+    except InvalidSystemError as exc:
+        _report(args.file, exc.diagnostics)
         return None
-    return system, net_name
+    except UnknownNetError:
+        _err(_net_problem(system, args.net))
+        return None
+    return system, net_name, net
 
 
 def _engine_config(args, trace=False):
@@ -94,14 +95,15 @@ def _engine_config(args, trace=False):
 
 
 def _cmd_check(args) -> int:
-    return 0 if _load_system(args.file) is not None else 1
+    system = _parse_file(args.file)
+    return int(system is None or _report(args.file, validate_system(system)))
 
 
 def _cmd_run(args) -> int:
     loaded = _load_net(args)
     if loaded is None:
         return 1
-    system, net_name = loaded
+    net = loaded[2]
     # Open the stats file before reducing, so a bad path fails fast and
     # leaves stdout empty.
     try:
@@ -109,7 +111,6 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         _err(f"{args.stats}: {exc.strerror or exc}")
         return 1
-    net = engine.load(system, net_name, mode=args.mode)
     result = engine.run(net, _engine_config(args, trace=args.trace))
     if args.trace:
         for line in result.trace:
@@ -139,18 +140,20 @@ def _cmd_bench(args) -> int:
     loaded = _load_net(args)
     if loaded is None:
         return 1
-    system, net_name = loaded
+    system, net_name, net = loaded
+    del loaded  # each run's net is dropped before the next is loaded
 
     runs = []  # (stats, status, stuck pair) of each run; residuals are dropped
     elapsed = 0.0
     cfg = _engine_config(args)
     for _ in range(args.repeat):
-        net = engine.load(system, net_name, mode=args.mode)
+        if net is None:
+            net = engine.load(system, net_name, mode=args.mode)
         t0 = time.perf_counter()
         result = engine.run(net, cfg)
         elapsed += time.perf_counter() - t0
         runs.append((result.stats, result.status, result.stuck_pair))
-        del net, result
+        net = result = None
 
     shown = net_name if net_name else "<anonymous>"
     steps_seen = sorted({stats.steps for stats, _, _ in runs})

@@ -2,8 +2,11 @@
 
 Everything in this module is plain AST data plus pure validation and
 comparison helpers, and the decorator that pauses the cyclic collector
-inside the library's entry points. The mutable runtime graph lives in
-`inet.engine`, the concrete text format in `inet.syntax`.
+inside the library's entry points. Terms and equations are slotted
+dataclasses: an input has one of them per term, so they carry no
+per-instance dict, and a write to an undeclared attribute raises. The
+mutable runtime graph lives in `inet.engine`, the concrete text format
+in `inet.syntax`.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ class Signature:
         return len(self.symbols)
 
 
-@dataclass
+@dataclass(slots=True)
 class NameTerm:
     """One occurrence of a name; the two occurrences of a name form a wire."""
 
@@ -117,7 +120,7 @@ class NameTerm:
     loc: Optional[Loc] = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentTerm:
     """An agent with exactly `symbol.arity` argument terms.
 
@@ -191,7 +194,7 @@ class AgentTerm:
 Term = Union[AgentTerm, NameTerm]
 
 
-@dataclass
+@dataclass(slots=True)
 class Equation:
     lhs: Term
     rhs: Term
@@ -326,11 +329,12 @@ def format_term(term: Term, rename: Optional[dict] = None) -> str:
             emit(item.name if rename is None else rename[item.name])
         else:
             args = item.args
-            head = "!" + item.symbol.name if item.needed else item.symbol.name
+            if item.needed:
+                emit("!")
+            emit(item.symbol.name)
             if not args:
-                emit(head)
                 continue
-            emit(head + "(")
+            emit("(")
             push(")")
             k = len(args) - 1
             push(args[k])

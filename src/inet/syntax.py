@@ -17,9 +17,12 @@ A `!` or an argument list on a name is a parse error. Arity-0 agents may
 be written with or without parentheses.
 
 The scanner checks the input for a stray character with one regex match,
-then splits it once on its trivia runs (whitespace and comments). One
-`findall` cuts each trivia-free run into token strings, whose offsets are
-running sums of their lengths from the run's start. A (line, column) is
+then splits it once on its trivia runs (whitespace and comments); the
+split's pattern starts with a character class, so the regex engine skips
+the text between runs in C. One `findall` cuts each trivia-free run into
+token strings, interned so that equal tokens share one string. Their
+offsets are running sums of their lengths from the run's start, kept in
+one `array('q')` rather than as an int object each. A (line, column) is
 computed only where it is kept, on terms, rules, equations and errors:
 the line by bisecting the newline offsets, the column from that line's
 start, so a tab or a carriage return counts one column.
@@ -30,6 +33,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import sys
+from array import array
 from bisect import bisect_right
 from itertools import accumulate, repeat
 
@@ -56,7 +61,8 @@ _IDENT_START = frozenset("_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 _WELL_FORMED_RE = re.compile(
     r"(?:[ \t\r\n]+|\#[^\n]*|><|[!/()\[\]{}=,;A-Za-z0-9_]+)*")
 # A trivia run; the group makes `split` keep it as every second piece.
-_TRIVIA_RE = re.compile(r"((?:[ \t\r\n]+|\#[^\n]*)+)")
+_TRIVIA_RE = re.compile(
+    r"([ \t\r\n#](?:(?<=\#)[^\n]*)?(?:[ \t\r\n]+|\#[^\n]*)*)")
 # Tokens; they cover a trivia-free run of text that passed the check.
 _LEXEME_RE = re.compile(r"><|[!/()\[\]{}=,;]|[A-Za-z_][A-Za-z0-9_]*|[0-9]+")
 _DEPTH_STEP = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
@@ -92,17 +98,17 @@ class _Parser:
         if ok < len(text):
             raise ParseError(f"unexpected character {text[ok]!r}",
                              *self.position(ok))
-        vals, starts, offset = [], [], 0
+        vals, starts, offset = [], array("q"), 0
         pieces = iter(_TRIVIA_RE.split(text))
         for run in pieces:
             tokens = _LEXEME_RE.findall(run)
-            vals += tokens
-            starts += accumulate(map(len, tokens), initial=offset)
+            vals += map(sys.intern, tokens)
+            starts.extend(accumulate(map(len, tokens), initial=offset))
             # The last sum is the run's end, where its trivia starts.
             offset = starts.pop() + len(next(pieces, ""))
-        # New lists of exactly their length: these outlive the scan.
-        self.vals = vals + ["", ""]
-        self.starts = starts + [len(text), len(text)]
+        starts.extend((len(text), len(text)))
+        # A new list of exactly its length: it outlives the scan.
+        self.vals, self.starts = vals + ["", ""], starts
         self.signature = Signature()
         self.agents = {}  # name -> AgentSymbol, filled by declare_agents
 

@@ -10,7 +10,7 @@ import weakref
 
 import pytest
 
-from inet import engine
+from inet import cli, engine
 from inet.cli import main
 from inet.fixtures import comb, delegation_chain, fixture_path, fixture_text
 
@@ -185,6 +185,55 @@ def test_run_file_without_a_net(tmp_inet, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "file defines no net\n"
+
+
+def _count_validations(monkeypatch):
+    """The systems `validate_system` is called on, from the CLI or load."""
+    calls = []
+    for module in (cli, engine):
+        def counting(system, inner=module.validate_system):
+            calls.append(system)
+            return inner(system)
+
+        monkeypatch.setattr(module, "validate_system", counting)
+    return calls
+
+
+def test_a_valid_file_is_validated_by_load_alone(monkeypatch, capsys):
+    calls = _count_validations(monkeypatch)
+    assert main(["run", ADD]) == 0
+    assert main(["bench", ADD, "--repeat", "2"]) == 0
+    assert calls == []
+    assert main(["check", ADD]) == 0
+    assert len(calls) == 1
+
+
+INVALID = [
+    "agent A/1 agent B/0\nrule A[n] >< B[]\nnet { A(x) = B; }",
+    "agent A/1 agent B/0\nnet { A(x) = B; A(y) = y; }",
+    "agent A/1 agent B/0\nnet p { A = B; }\nnet q { A(x) = x; }",
+    "agent A/0 agent B/0\nnet p { A = B; }\nnet q { x = A; }",
+    "agent A/1 agent B/0\nrule A[n] >< B[]",
+]
+
+
+@pytest.mark.parametrize("source", INVALID)
+def test_run_and_bench_report_an_invalid_file_as_check_does(
+        source, tmp_inet, tmp_path, capsys):
+    # The diagnostics come before any complaint about the net name, and
+    # an invalid file leaves no stats file.
+    path = tmp_inet(source)
+    assert main(["check", path]) == 1
+    _, expected = capsys.readouterr()
+    assert expected.startswith(path + ":")
+    stats = tmp_path / "stats.json"
+    for argv in (["run", path, "--stats", str(stats)],
+                 ["run", path, "--net", "p", "--trace"],
+                 ["run", path, "--net", "zzz"],
+                 ["bench", path, "--repeat", "2"]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", expected)
+    assert not stats.exists()
 
 
 def test_run_parse_error_exit_code(tmp_inet, capsys):

@@ -144,3 +144,19 @@ def test_looped_load_and_run_hold_no_dropped_net(mode, n):
     # so nothing piles up over the loop.
     assert held[0] < live / 2
     assert max(held) - held[0] < live / 10
+
+
+def test_parse_keeps_little_scan_state_beyond_what_it_returns():
+    # The token strings and their offsets are dropped when parse returns:
+    # equal tokens share one interned string, the offsets sit in one
+    # array, so the peak stays close to what the system holds.
+    source = add_source(20000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        system = parse(source)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(system.get_net("add")) == 2
+    assert peak <= 1.3 * held

@@ -126,16 +126,16 @@ def test_load_run_and_drop_leave_the_input_unchanged(mode):
     for system, name in systems:
         config = system.get_net(name)
         text = format_config(config)
-        # A stray write such as `.parent` on a held term adds an attribute
-        # that printing cannot show.
-        keys = [sorted(vars(t)) for t in iter_config_terms(config)]
+        # Input terms have slots and no `__dict__`, so a stray write such
+        # as `.parent` on a held term raises inside the run instead of
+        # adding an attribute that printing cannot show.
+        assert not any(hasattr(t, "__dict__") for t in iter_config_terms(config))
         net = load(system, name, mode=mode)
         result = run(net, EngineConfig(max_steps=2000, audit=True))
         if mode == "needed":
             run(net, EngineConfig(mode="full", max_steps=2000, audit=True))
         del net, result
         assert format_config(config) == text
-        assert [sorted(vars(t)) for t in iter_config_terms(config)] == keys
 
 
 def test_an_interaction_builds_no_node_for_a_held_root(monkeypatch):

@@ -25,6 +25,7 @@ from inet.core import (
     NEEDED_ON_NAME,
 )
 from inet.fixtures import delegation_chain, fixture_text
+from inet.syntax import _TRIVIA_RE
 from test_properties import make_case
 
 
@@ -188,6 +189,27 @@ PARSES = [
                          ids=[case[0] for case in PARSES])
 def test_inputs_around_trivia_parse(source, expected):
     assert format_system(parse(source)) == expected
+
+
+# The trivia split's pattern before it was made to start with a character
+# class: the reference `_TRIVIA_RE` must split every text as this does.
+_REFERENCE_TRIVIA_RE = re.compile(r"((?:[ \t\r\n]+|\#[^\n]*)+)")
+_SCAN_PIECES = (" ", "\t", "\r", "\n", "\r\n", "#", "# c", "#x\r", "##",
+                "\n\n", "\n# c\n\n# d\n", "A", "xy_1", "42", "(", ")",
+                ",", ";", "=", "!", "><", "{", "}", "[", "]", "/", "@", "é")
+
+
+def _scanner_inputs():
+    yield from ("", "#", "# only", "#\n", "A#", "A#c", "A #c", "\r\rA\r",
+                "A\r#c\rB", "#c\nA", "\n\n# a\n\n# b\n\nA\n# end")
+    rng = random.Random(5)
+    for _ in range(3000):
+        yield "".join(rng.choices(_SCAN_PIECES, k=rng.randrange(1, 25)))
+
+
+def test_trivia_split_matches_the_reference_pattern():
+    for text in _scanner_inputs():
+        assert _TRIVIA_RE.split(text) == _REFERENCE_TRIVIA_RE.split(text), text
 
 
 def test_parse_rejects_invalid_utf8():
