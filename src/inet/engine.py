@@ -28,14 +28,18 @@ Each step's mutation footprint is local (one equation, its roots, one
 rule instance, one wire partner), which is what keeps the per-step cost
 independent of configuration size. A step body writes the graph itself
 and adds its fixed mutation count once (see `Stats`), plus one per
-enqueue. An interaction runs a flat program that `compile_rule` builds
-once per ordered symbol pair per net (cached in `RuntimeNet.programs`),
-one instruction per equation, agent and wire occurrence the rule
-creates, so its cost is the program's length. Classifying a wire
-equation also reads the graph: it runs a climb from the wire's partner
-and a walk through the other side in lock step, so its reads are
-bounded by the smaller of the two. Both costs are gauged per pop:
-mutations in `max_ops_per_step`, classifier reads in
+enqueue. An interaction calls a straight-line kernel: `compile_rule`
+builds a rule's program once per ordered symbol pair per net (cached in
+`RuntimeNet.programs`), and the kernel it holds is generated once per
+process for each rule shape, the rule's creation sequence with its
+symbols left out. The kernel makes one equation, agent or wire pair per
+template occurrence, in locals, so an interaction's cost is its
+program's `ops` plus its enqueues. Each pop dispatches on the entry's
+exact class and builds no trace text unless the run traces.
+Classifying a wire equation also reads the graph: it runs a climb from
+the wire's partner and a walk through the other side in lock step, so
+its reads are bounded by the smaller of the two. Both costs are gauged
+per pop: mutations in `max_ops_per_step`, classifier reads in
 `max_reads_per_step`.
 
 In `full` mode the queue holds every equation, needed markers are
@@ -246,7 +250,9 @@ class RuntimeNet:
     fresh names `n{k}` are taken without walking the residual.
     `programs` maps an ordered pair of symbol ids to its compiled rule
     program, or to None when no rule covers the pair; each entry is
-    filled the first time its pair meets.
+    filled the first time its pair meets. It is kept per net because a
+    `RuleSet` and its `Rule`s can be changed between loads; only the
+    kernels are shared.
     """
 
     def __init__(self, signature, rules, mode):
@@ -436,30 +442,37 @@ def load(system: InteractionSystem, net_name: Optional[str] = None,
 
 # --- step operations ----------------------------------------------------------
 
-# Opcodes of a compiled rule program, one instruction per created node:
-#   (_EQ, root side, argument index, -, -)   new equation; its left side
-#       is that argument of the old root, its right the template below;
-#   (_AGENT, symbol, template `!`, owner, slot)   new agent;
-#   (_WIRE, -, -, owner, slot)        first occurrence of a rule name: a
-#       new wire pair, one half placed, the other kept for the second;
-#   (_REWIRE, register, -, owner, slot)   second occurrence of that name.
-# Every instruction but _REWIRE fills the next register (the equation,
-# the agent or the waiting half); owners are register numbers.
+# A rule orientation's shape: four ints per node the rule creates, in
+# creation order (preorder over the templates, the left root's first).
+# Every instruction but _REWIRE fills the next register:
+#   (_EQ, root, argument index, 0)   new equation; its left side is that
+#       argument of the old root, its right the template below;
+#   (_AGENT, template `!`, owner, slot)   new agent, with the next symbol;
+#   (_WIRE, 0, owner, slot)   first occurrence of a rule name: a new wire
+#       pair, one half placed, the other kept in the register;
+#   (_REWIRE, register, owner, slot)   second occurrence of that name.
+# Owners are registers. The symbols are not part of the shape, so rules
+# that differ only in their symbols share one kernel.
 _EQ, _AGENT, _WIRE, _REWIRE = range(4)
+_KERNELS: dict = {}  # shape -> (kernel, ops); holds no net, rule or symbol
 
 
 class RuleProgram:
-    """A rule orientation compiled to a flat instruction tuple.
+    """A rule orientation compiled to a straight-line kernel.
 
-    `ops` is the step's fixed mutation count (3 kills, 2 per equation, 2
-    per agent, 3 per first and 1 per second wire occurrence; enqueues
-    are counted as they happen); `label` is the trace detail `A><B`.
+    `fire(net, q, symbols)` fires the rule on equation `q`: the kernel is
+    shared by every rule of the same shape, and `symbols` are this rule's
+    agents in creation order. `ops` is the step's fixed mutation count
+    (3 kills, 2 per equation, 2 per agent, 3 per first and 1 per second
+    wire occurrence; each enqueue adds one more); `label` is the trace
+    detail `A><B`.
     """
 
-    __slots__ = ("code", "ops", "label")
+    __slots__ = ("fire", "symbols", "ops", "label")
 
-    def __init__(self, code, ops, label):
-        self.code = code
+    def __init__(self, fire, symbols, ops, label):
+        self.fire = fire
+        self.symbols = symbols
         self.ops = ops
         self.label = label
 
@@ -468,113 +481,166 @@ def compile_rule(rule, swapped):
     """Compile one orientation of `rule` into a `RuleProgram`.
 
     The equation's left root matches `rule.right` when `swapped`, else
-    `rule.left` (the meaning `RuleSet.lookup` gives it). One preorder walk over both sides' templates, in the order the step
-    creates equations: the left root's arguments first. Rule names
-    become register numbers, so firing builds no name table.
+    `rule.left` (the meaning `RuleSet.lookup` gives it). One preorder
+    walk over both sides' templates, in the order the step creates
+    equations (the left root's arguments first), writes the rule's shape
+    and collects its symbols. Rule names become registers, so firing
+    builds no name table. The kernel for the shape is generated once per
+    process (`_kernel`); only the symbols are this rule's.
     """
     sides = (rule.right, rule.left) if swapped else (rule.left, rule.right)
-    code = []
+    shape = []
+    symbols = []
     waiting = {}  # rule name -> register of the half awaiting it
     regs = 0
-    ops = 3
     for root, side in enumerate(sides):
         for i, template in enumerate(side.templates):
-            code.append((_EQ, root, i, None, None))
+            shape += (_EQ, root, i, 0)
             stack = [(template, regs, 1)]
             regs += 1
-            ops += 2
             while stack:
                 t, owner, slot = stack.pop()
                 if isinstance(t, NameTerm):
                     reg = waiting.pop(t.name, None)
                     if reg is None:
-                        code.append((_WIRE, None, None, owner, slot))
+                        shape += (_WIRE, 0, owner, slot)
                         waiting[t.name] = regs
                         regs += 1
-                        ops += 3
                     else:
-                        code.append((_REWIRE, reg, None, owner, slot))
-                        ops += 1
+                        shape += (_REWIRE, reg, owner, slot)
                 else:
-                    code.append((_AGENT, t.symbol, t.needed, owner, slot))
+                    shape += (_AGENT, t.needed, owner, slot)
+                    symbols.append(t.symbol)
                     args = t.args
                     for j in range(len(args) - 1, -1, -1):
                         stack.append((args[j], regs, j))
                     regs += 1
-                    ops += 2
+    fire, ops = _kernel(tuple(shape))
     label = f"{sides[0].symbol.name}><{sides[1].symbol.name}"
-    return RuleProgram(tuple(code), ops, label)
+    return RuleProgram(fire, tuple(symbols), ops, label)
 
 
-def interact_step(net, q, program):
-    """Fire a compiled rule on equation `q`; both sides must be agents.
-
-    Each argument of each root is re-rooted into a fresh equation
-    against its template copy; the two roots and the equation die. A
-    side may be a held input term: its `args` are read as a node's
-    children are, and a held argument goes onto its new equation's side
-    as it is. Template `!` markers are kept in needed mode and dropped
-    in full mode, read from `net.mode` here, so a program outlives a
-    switch.
-    """
-    q.alive = False
-    roots = []
-    for root in q.children:
-        if isinstance(root, AgentNode):
-            root.alive = False
-            roots.append(root.children)
-        else:
-            roots.append(root.args)  # a held input term
-    keep_needed = net.mode != FULL
-    pair_id = net._pair_seq
-    regs = []
-    fill = regs.append
-    new_eqs = []
-    created_needed = []
-    for op, a, b, owner, slot in program.code:
-        if op == _EQ:
-            child = roots[a][b]
-            eq = EquationNode(child)
-            if isinstance(child, _GRAPH_NODES):
-                child.parent = eq
-            new_eqs.append(eq)
-            fill(eq)
-            continue
-        if op == _AGENT:
-            needed = b and keep_needed
-            node = AgentNode(a, needed)
-            if needed:
-                created_needed.append(node)
-            fill(node)
-        elif op == _WIRE:
-            node = WireHalf(None, pair_id)
-            other = WireHalf(None, pair_id)
-            node.partner = other
-            other.partner = node
-            pair_id += 1
-            fill(other)
-        else:
-            node = regs[a]
-        parent = regs[owner]
-        parent.children[slot] = node
-        node.parent = parent
-    net._pair_seq = pair_id
-    net.equations += new_eqs
-    net._window_ops += program.ops
+# The source a kernel runs: a prologue, one piece per instruction, an
+# epilogue and the enqueues. A piece is formatted with (register, a, owner, slot,
+# mark), where `a` is the root (_EQ), the symbol's index (_AGENT), the
+# pair id (_WIRE) or the waiting half's register (_REWIRE), and `mark`
+# is `keep` or `False`: numbers and fixed names, nothing of the input.
+_PROLOGUE = """def fire(net, q, S):
+    {}q.alive = False
+    r0, r1 = q.children
+    if r0.__class__ is AgentNode:
+        r0.alive = False
+        r0 = r0.children
+    else:
+        r0 = r0.args
+    if r1.__class__ is AgentNode:
+        r1.alive = False
+        r1 = r1.children
+    else:
+        r1 = r1.args
+    keep = net.mode != FULL
+    pid = net._pair_seq
+"""
+_PIECES = {
+    _EQ: """    x{0} = r{1}[{2}]
+    g{0} = EquationNode(x{0})
+    if x{0}.__class__ is not AgentTerm:
+        x{0}.parent = g{0}
+""",
+    _AGENT: """    g{0} = AgentNode(S{1}, {4})
+    g{2}.children[{3}] = g{0}
+    g{0}.parent = g{2}
+""",
+    _WIRE: """    p = {1}
+    g{0} = WireHalf(None, p)
+    w = WireHalf(None, p)
+    w.partner = g{0}
+    g{0}.partner = w
+    g{2}.children[{3}] = w
+    w.parent = g{2}
+""",
+    _REWIRE: """    g{2}.children[{3}] = g{1}
+    g{1}.parent = g{2}
+""",
+}
+_EPILOGUE = """    net.equations += ({})
     stats = net.stats
     stats.interactions += 1
     stats.steps += 1
-    push = net.queue.push
-    if keep_needed:
-        for node in created_needed:
-            push(net, node)
-        for eq in new_eqs:
-            a, b = eq.children
-            if a.needed or b.needed:
-                push(net, eq)
-    else:
-        for eq in new_eqs:
-            push(net, eq)
+    items = net.queue._items
+    if keep:
+        n = {}
+"""
+_PUSH = """        g{0}.in_queue = True
+        items.append(g{0})
+"""
+_PUSH_IF_NEEDED = """        if x{0}.needed:
+            g{0}.in_queue = True
+            items.append(g{0})
+            n += 1
+"""
+_OPS = {_EQ: 2, _AGENT: 2, _WIRE: 3, _REWIRE: 1}  # 3 more for the kills
+
+
+def _kernel(shape):
+    """(kernel, ops) of a rule shape; the kernel is generated on first use.
+
+    The kernel fires its rule in straight-line code: it kills the
+    equation and its two roots, builds each new equation, agent and
+    wire pair in a local, places it, and enqueues inline (needed agents
+    first, then equations, as `_Queue.push` would, each adding one to
+    the gauge). A side may be a held input term: its `args` are read as
+    a node's children are, and a held argument goes onto its new
+    equation's side as it is. Template `!` markers are kept in needed
+    mode and dropped in full mode, read from `net.mode` at each firing,
+    so a kernel outlives a switch. The source holds only integers and
+    fixed local names; the symbols come in as an argument.
+    """
+    known = _KERNELS.get(shape)
+    if known is not None:
+        return known
+    pieces = []
+    eqs = []  # [register, its right side is a `!` agent]
+    marked = []  # registers of the `!` agents
+    agents = pairs = reg = 0
+    ops = 3
+    for k in range(0, len(shape), 4):
+        op, a, owner, slot = shape[k:k + 4]
+        ops += _OPS[op]
+        mark = "False"
+        if op == _EQ:
+            eqs.append([reg, False])
+        elif op == _AGENT:
+            if a:
+                mark = "keep"
+                marked.append(reg)
+                eqs[-1][1] |= eqs[-1][0] == owner
+            a = agents
+            agents += 1
+        elif op == _WIRE:
+            a = f"pid + {pairs}" if pairs else "pid"
+            pairs += 1
+        pieces.append(_PIECES[op].format(reg, a, owner, slot, mark))
+        reg += op != _REWIRE
+    symbols = "".join(f"S{i}, " for i in range(agents))
+    pieces.insert(0, _PROLOGUE.format(f"{symbols}= S\n    " if agents else ""))
+    if pairs:
+        pieces.append(f"    net._pair_seq = pid + {pairs}\n")
+    pieces.append(_EPILOGUE.format(
+        "".join(f"g{e}, " for e, _ in eqs),
+        ops + len(marked) + sum(fixed for _, fixed in eqs)))
+    pieces += [_PUSH.format(m) for m in marked]
+    pieces += [(_PUSH if fixed else _PUSH_IF_NEEDED).format(e) for e, fixed in eqs]
+    pieces.append("        net._window_ops += n\n    else:\n")
+    pieces += [_PUSH.format(e) for e, _ in eqs]
+    pieces.append(f"        net._window_ops += {ops + len(eqs)}\n")
+    namespace = {"AgentNode": AgentNode, "AgentTerm": AgentTerm,
+                 "EquationNode": EquationNode, "WireHalf": WireHalf,
+                 "FULL": FULL}
+    exec("".join(pieces), namespace)
+    # Popped, so the kernel is not in a cycle with its own globals.
+    known = _KERNELS[shape] = namespace.pop("fire"), ops
+    return known
 
 
 def _classify_wire_equation(net, q, wire):
@@ -606,43 +672,46 @@ def _classify_wire_equation(net, q, wire):
         if node is partner:
             kind = "cyclic"
             break
-        if isinstance(node, AgentNode):
-            pending.extend(node.children)
-        elif not isinstance(node, WireHalf):
-            pending.extend(node.args)  # a held input term
+        cls = node.__class__
+        if cls is AgentNode:
+            pending += node.children
+        elif cls is not WireHalf:
+            pending += node.args  # a held input term
         if not pending:
             kind = "splice"
             break
         up = up.parent
         reads += 1
-        if not isinstance(up, AgentNode):
+        if up.__class__ is not AgentNode:
             kind = "cyclic" if up is q else "splice"
             break
-    if reads > net.stats.max_reads_per_step:
-        net.stats.max_reads_per_step = reads
+    stats = net.stats
+    if reads > stats.max_reads_per_step:
+        stats.max_reads_per_step = reads
     return kind
 
 
-def indirect_step(net, q):
+def indirect_step(net, q, wire, other):
     """Eliminate a wire equation by splicing; assumes classification 'splice'.
 
-    The non-wire side (or the right side, when both are wires) moves
-    into the slot held by the wire's partner; both halves and the
-    equation die. A needed term that was substituted re-enters the
+    `other`, the non-wire side (or the right side, when both are wires),
+    moves into the slot held by the partner of `wire`; both halves and
+    the equation die. A needed term that was substituted re-enters the
     queue, since its demand must climb from its new position. The
     partner's slot is found by searching its owner's children, at most
     the largest arity; that search is not a classifier read. Mutations:
     three kills and the slot write.
     """
-    lhs, rhs = q.children
-    wire, other = (lhs, rhs) if isinstance(lhs, WireHalf) else (rhs, lhs)
     partner = wire.partner
     owner = partner.parent
     wire.alive = partner.alive = q.alive = False
-    net._window_ops += 3
-    net.set_slot(owner, owner.children.index(partner), other)
-    net.stats.indirections += 1
-    net.stats.steps += 1
+    owner.children[owner.children.index(partner)] = other
+    if other.__class__ is not AgentTerm:
+        other.parent = owner
+    net._window_ops += 4
+    stats = net.stats
+    stats.indirections += 1
+    stats.steps += 1
     if other.needed:
         net.queue.push(net, other)
 
@@ -652,11 +721,13 @@ def delegate_step(net, parent):
     parent.needed = True
     net._window_ops += 1
     net.queue.push(net, parent)
-    net.stats.delegations += 1
-    net.stats.steps += 1
+    stats = net.stats
+    stats.delegations += 1
+    stats.steps += 1
 
 
-def process_entry(net, entry, *, strict_rules=False, budget_left=None):
+def process_entry(net, entry, *, strict_rules=False, budget_left=None,
+                  describe=True):
     """Process one popped queue entry.
 
     Returns (outcome, detail). Counted outcomes are "interaction",
@@ -665,13 +736,20 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None):
     root re-entered as its equation), "noop" (parent already needed),
     "loop", "observable", "cyclic", "stuck" (no rule under strict
     rules) and "budget" (the step budget is exhausted); the last two
-    push the entry back, so a later run resumes from it.
+    push the entry back, so a later run resumes from it. The detail of
+    an indirection (the wire's name) and of a delegation (`A->B`) is
+    built only when `describe` is set, as `run` does when it traces;
+    otherwise it is None.
     """
-    if isinstance(entry, EquationNode):
+    if entry.__class__ is EquationNode:
         if not entry.alive or entry.terminal is not None:
             return "stale", None
         lhs, rhs = entry.children
-        if not isinstance(lhs, WireHalf) and not isinstance(rhs, WireHalf):
+        if lhs.__class__ is WireHalf:
+            wire, other = lhs, rhs
+        elif rhs.__class__ is WireHalf:
+            wire, other = rhs, lhs
+        else:
             key = (lhs.symbol.id, rhs.symbol.id)
             try:
                 program = net.programs[key]
@@ -690,9 +768,8 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None):
             if budget_left is not None and budget_left <= 0:
                 net.queue.push_front(entry)
                 return "budget", None
-            interact_step(net, entry, program)
+            program.fire(net, entry, program.symbols)
             return "interaction", program.label
-        wire = lhs if isinstance(lhs, WireHalf) else rhs
         kind = _classify_wire_equation(net, entry, wire)
         if kind == "loop":
             lhs.alive = rhs.alive = entry.alive = False
@@ -707,15 +784,16 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None):
         if budget_left is not None and budget_left <= 0:
             net.queue.push_front(entry)
             return "budget", None
-        indirect_step(net, entry)
-        return "indirection", wire.label or f"w{wire.pair_id}"
+        indirect_step(net, entry, wire, other)
+        return "indirection", (wire.label or f"w{wire.pair_id}"
+                               if describe else None)
 
     # Term node entry.
     node = entry
     if not node.alive or net.mode == FULL:
         return "stale", None
     owner = node.parent
-    if isinstance(owner, EquationNode):
+    if owner.__class__ is EquationNode:
         # Queue plumbing, not a step: the demanded root is replaced by
         # its equation. Classified terminals never re-enter.
         if owner.alive and owner.terminal is None:
@@ -727,7 +805,8 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None):
         net.queue.push_front(node)
         return "budget", None
     delegate_step(net, owner)
-    return "delegation", f"{node.symbol.name}->{owner.symbol.name}"
+    return "delegation", (f"{node.symbol.name}->{owner.symbol.name}"
+                          if describe else None)
 
 
 # --- read-back ----------------------------------------------------------------
@@ -911,6 +990,7 @@ def run(net: RuntimeNet, config: Optional[EngineConfig] = None) -> RunResult:
             raise ValueError(f"cannot switch a {net.mode}-mode net to {cfg.mode!r}")
     rng = random.Random(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
     trace_lines = [] if cfg.trace else None
+    describe = cfg.trace
     auditor = _Auditor(net) if cfg.audit else None
 
     max_steps = cfg.max_steps
@@ -927,7 +1007,8 @@ def run(net: RuntimeNet, config: Optional[EngineConfig] = None) -> RunResult:
         net.pop_count += 1
         net._window_ops = 0
         outcome, detail = process_entry(
-            net, entry, strict_rules=strict_rules, budget_left=budget_left
+            net, entry, strict_rules=strict_rules, budget_left=budget_left,
+            describe=describe,
         )
         if net._window_ops > stats.max_ops_per_step:
             stats.max_ops_per_step = net._window_ops
