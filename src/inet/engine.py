@@ -6,7 +6,10 @@ two, its left and right side), and every agent node and wire half links back
 to the owner whose slot holds it, so demand can climb one level per
 step. A name is a pair of mutually linked wire halves.
 `RuntimeNet.equations` keeps every equation ever created, in creation
-order; dead ones are flagged `alive = False`.
+order; a dead one is an empty shell, flagged `alive = False` with its
+`children` dropped. Each step frees what it kills: it drops the links
+that kept the killed equation, roots and wire pair reachable, so
+reference counting frees them inside the step.
 
 Only the open spine of the input is built: `load` makes a node for each
 agent term with a name or a `!` at or below it. Every other term, a
@@ -53,7 +56,7 @@ graph, the spine load built plus what steps made, and returns a held
 term as it is, so the residual shares held subterms with the input
 configuration and callers must not mutate them. `load`, `run` and
 `readback` pause the cyclic collector (`core.collector_paused`): they
-create no cyclic garbage, and a dropped net unlinks its graph, so
+create no cyclic garbage, and a dropped net unlinks its live graph, so
 reference counting frees it.
 """
 
@@ -138,6 +141,8 @@ class EquationNode:
         self.terminal = None  # None | "observable" | "cyclic"
 
     def __repr__(self):
+        if self.children is None:
+            return "<eq dead>"
         # A held input term shows by its head, as a node does, so the
         # text stays one short line however large the term is.
         lhs, rhs = (AgentNode.__repr__(side) if isinstance(side, AgentTerm)
@@ -272,12 +277,13 @@ class RuntimeNet:
         """Unlink the graph, so reference counting frees it once dropped.
 
         Parent and partner links make the graph cyclic, and library calls
-        pause the cyclic collector, whose passes then grow rare. Every
-        child list (of live and dead owners alike) is emptied once and
-        every wire drops its partner, which leaves no cycle. Held input
-        terms belong to the input configuration and are left whole.
+        pause the cyclic collector, whose passes then grow rare. Each
+        step already unlinked what it killed, so only the live net is
+        left: every child list in it is emptied once and every wire drops
+        its partner, which leaves no cycle. Held input terms belong to
+        the input configuration and are left whole.
         """
-        stack = list(self.equations)
+        stack = self.live_equations()
         while stack:
             node = stack.pop()
             if isinstance(node, WireHalf):
@@ -528,6 +534,7 @@ def compile_rule(rule, swapped):
 _PROLOGUE = """def fire(net, q, S):
     {}q.alive = False
     r0, r1 = q.children
+    q.children = None
     if r0.__class__ is AgentNode:
         r0.alive = False
         r0 = r0.children
@@ -586,7 +593,8 @@ def _kernel(shape):
     """(kernel, ops) of a rule shape; the kernel is generated on first use.
 
     The kernel fires its rule in straight-line code: it kills the
-    equation and its two roots, builds each new equation, agent and
+    equation and its two roots, drops the equation's sides so that
+    nothing keeps the roots, builds each new equation, agent and
     wire pair in a local, places it, and enqueues inline (needed agents
     first, then equations, as `_Queue.push` would, each adding one to
     the gauge). A side may be a held input term: its `args` are read as
@@ -696,7 +704,8 @@ def indirect_step(net, q, wire, other):
 
     `other`, the non-wire side (or the right side, when both are wires),
     moves into the slot held by the partner of `wire`; both halves and
-    the equation die. A needed term that was substituted re-enters the
+    the equation die, and drop the links that kept them, so they are
+    freed here. A needed term that was substituted re-enters the
     queue, since its demand must climb from its new position. The
     partner's slot is found by searching its owner's children, at most
     the largest arity; that search is not a classifier read. Mutations:
@@ -705,6 +714,7 @@ def indirect_step(net, q, wire, other):
     partner = wire.partner
     owner = partner.parent
     wire.alive = partner.alive = q.alive = False
+    q.children = wire.partner = None
     owner.children[owner.children.index(partner)] = other
     if other.__class__ is not AgentTerm:
         other.parent = owner
@@ -773,6 +783,7 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None,
         kind = _classify_wire_equation(net, entry, wire)
         if kind == "loop":
             lhs.alive = rhs.alive = entry.alive = False
+            entry.children = lhs.partner = None
             net._window_ops += 3
             net.stats.loops_removed += 1
             return "loop", None
@@ -839,12 +850,13 @@ def readback(net: RuntimeNet) -> Configuration:
         stack = [(rhs, sides, 1), (lhs, sides, 0)]
         while stack:
             node, args, j = stack.pop()
-            if isinstance(node, WireHalf):
+            cls = node.__class__
+            if cls is WireHalf:
                 label = node.label
                 term = args[j] = NameTerm(label)
                 if not label:
                     unnamed.setdefault(node.pair_id, []).append(term)
-            elif not isinstance(node, AgentNode):
+            elif cls is not AgentNode:
                 args[j] = node  # a held input term
             else:
                 children = node.children

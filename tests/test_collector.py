@@ -27,11 +27,14 @@ from inet.fixtures import fixture_text
 ENTRY_POINTS = (parse, validate_system, load, run, readback, format_config)
 
 
-def add_source(n):
-    """The bundled add rules on `S^n(Z) = Add(x, S^n(Z)); !Res = x;`."""
-    nat = "S(" * n + "Z" + ")" * n
+def add_source(n, m=None):
+    """The bundled add rules on `S^n(Z) = Add(x, S^m(Z)); !Res = x;`.
+
+    `m` defaults to `n`.
+    """
+    lhs, rhs = ("S(" * k + "Z" + ")" * k for k in (n, n if m is None else m))
     rules = fixture_text("add").rsplit("net ", 1)[0]
-    return rules + f"net add {{ {nat} = Add(x, {nat}); !Res = x; }}\n"
+    return rules + f"net add {{ {lhs} = Add(x, {rhs}); !Res = x; }}\n"
 
 
 def open_add_source(n):

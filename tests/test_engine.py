@@ -5,6 +5,7 @@ the FIFO schedule equation by equation; the full-mode results are
 cross-checked against the naive AST reducer in `_oracle`.
 """
 
+import gc
 import random
 from collections import Counter
 from itertools import count
@@ -32,7 +33,7 @@ from inet import (
 )
 from inet.core import AgentSymbol, iter_config_terms
 from inet.engine import AgentNode, AuditError, EquationNode, WireHalf, _Auditor
-from inet.fixtures import deep_splice, delegation_chain, fixture_text
+from inet.fixtures import comb, deep_splice, delegation_chain, fixture_text
 from test_cli_golden import MIX, SOURCES
 from test_collector import add_source
 from test_properties import make_case
@@ -42,20 +43,25 @@ def count_ast_agents(config):
     return sum(1 for t in iter_config_terms(config) if isinstance(t, AgentTerm))
 
 
+def live_nodes(net):
+    """The agent nodes and wire halves reachable from the live equations."""
+    nodes = []
+    for eq in net.live_equations():
+        stack = list(eq.children)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (AgentNode, WireHalf)):  # not a held input term
+                nodes.append(node)
+                if isinstance(node, AgentNode):
+                    stack.extend(node.children)
+    return nodes
+
+
 def graph_census(net):
     """(agent nodes, wire halves) reachable from the live equations."""
-    agents, halves = 0, 0
-    for eq in net.live_equations():
-        for side in eq.children:
-            stack = [side]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, WireHalf):
-                    halves += 1
-                elif isinstance(node, AgentNode):  # not a held input term
-                    agents += 1
-                    stack.extend(node.children)
-    return agents, halves
+    nodes = live_nodes(net)
+    agents = sum(isinstance(node, AgentNode) for node in nodes)
+    return agents, len(nodes) - agents
 
 
 def test_load_omega_graph_shape(omega_system):
@@ -136,6 +142,52 @@ def test_load_run_and_drop_leave_the_input_unchanged(mode):
             run(net, EngineConfig(mode="full", max_steps=2000, audit=True))
         del net, result
         assert format_config(config) == text
+
+
+def test_no_dead_node_outlives_its_step():
+    # Library calls pause the cyclic collector, so whatever a step kills
+    # must be freed by reference counting. After a collection made with
+    # the collector off, every tracked object made since stays in
+    # generation 0, so that generation holds every node left alive.
+    sources = [add_source(10, 1), add_source(1000, 1), comb(50),
+               delegation_chain(50), *SOURCES.values(),
+               "agent S/1\nnet w { x = y; y = x; z = S(w); w = S(z); }"]
+    systems = [(parse(source), "full") for source in sources[:2]]
+    systems += [(parse(source), mode) for source in sources[2:]
+                for mode in ("needed", "full")]
+    systems += [(make_case(seed), mode) for seed in range(200)
+                for mode in ("needed", "full")]
+    killed = Counter()
+
+    def check(net, result):
+        if result.status != "normal":
+            return  # a divergent random net; a stopped run keeps its queue
+        left = [obj for obj in gc.get_objects(generation=0)
+                if obj.__class__ in (AgentNode, WireHalf)]
+        assert {id(node) for node in left} == {id(node) for node in live_nodes(net)}
+        assert all(eq.children is None for eq in net.equations if not eq.alive)
+        killed.update(interactions=result.stats.interactions,
+                      indirections=result.stats.indirections,
+                      loops=result.stats.loops_removed)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    try:
+        for system, mode in systems:
+            name = system.default_net_name()
+            for shuffle_seed in (None, 1):
+                net = load(system, name, mode=mode)
+                check(net, run(net, EngineConfig(shuffle_seed=shuffle_seed,
+                                                 max_steps=20000)))
+                if mode == "needed":
+                    check(net, run(net, EngineConfig(mode="full",
+                                                     shuffle_seed=shuffle_seed,
+                                                     max_steps=20000)))
+    finally:
+        if enabled:
+            gc.enable()
+    assert all(killed[kind] for kind in ("interactions", "indirections", "loops"))
 
 
 def test_an_interaction_builds_no_node_for_a_held_root(monkeypatch):

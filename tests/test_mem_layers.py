@@ -1,4 +1,5 @@
-"""`tools/mem_layers.py` reports every pipeline layer in order."""
+"""`tools/mem_layers.py` reports every pipeline layer in order, and what
+the run left alive."""
 
 import json
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "mem_layers.py"
 
 
-@pytest.mark.parametrize("workload", ["add_needed", "chain_needed"])
+@pytest.mark.parametrize("workload", ["add_full", "add_needed", "chain_needed"])
 def test_layers_come_in_pipeline_order_with_peak_at_least_held(workload):
     done = subprocess.run([sys.executable, str(TOOL), workload, "--size", "400"],
                           capture_output=True, text=True, check=True)
@@ -21,3 +22,7 @@ def test_layers_come_in_pipeline_order_with_peak_at_least_held(workload):
         "parse", "validate", "load", "run", "format"]
     for row in layers:
         assert row["peak_mb"] >= row["held_mb"] > 0, row
+    # Each step frees what it kills, so every node left is a live one.
+    for cls in ("AgentNode", "WireHalf"):
+        assert report["alive"][cls] == report["reachable"][cls], cls
+    assert report["alive"]["EquationNode"] >= report["reachable"]["EquationNode"] > 0

@@ -10,9 +10,21 @@ with `inet` imported from this checkout's `src/`. Under `tracemalloc`,
 it prints for each layer in that order the peak of traced memory while
 the layer ran (`tracemalloc.reset_peak` before it) and the memory still
 traced after it, in MB. Both include what the earlier layers still
-hold, so the largest peak is the pipeline's `peak_mem_mb`. The last
-stdout line is one JSON object: workload, size and the layers with
-their `peak_mb` and `held_mb`. Exits 1 if the pipeline's output is wrong.
+hold, so the largest peak is the pipeline's `peak_mem_mb`.
+
+The cyclic collector stays off for the whole pipeline, as it is inside
+the library calls, so what the run left is what reference counting
+alone left. After the pipeline (format reads only the residual, not the
+net) the tool counts the `AgentNode`, `WireHalf` and `EquationNode`
+objects still alive, and next to them those reachable from the net's
+live equations: the agent nodes and wire halves under them, and the
+live equations themselves. When each step frees what it kills, the two
+node counts agree; the alive equations also count the dead shells that
+`RuntimeNet.equations` keeps.
+
+The last stdout line is one JSON object: workload, size, the layers
+with their `peak_mb` and `held_mb`, and the `alive` and `reachable`
+counts by class. Exits 1 if the pipeline's output is wrong.
 """
 
 from __future__ import annotations
@@ -31,8 +43,41 @@ import inet  # noqa: E402
 import workloads  # noqa: E402
 
 
+ENGINE_CLASSES = (inet.engine.AgentNode, inet.engine.WireHalf,
+                  inet.engine.EquationNode)
+
+
+def reachable(net):
+    """Engine objects reachable from the live equations, by class name."""
+    equations = net.live_equations()
+    counts = dict.fromkeys((cls.__name__ for cls in ENGINE_CLASSES), 0)
+    counts["EquationNode"] = len(equations)
+    stack = [side for eq in equations for side in eq.children]
+    while stack:
+        node = stack.pop()
+        cls = node.__class__
+        if cls in ENGINE_CLASSES:  # not a held input term
+            counts[cls.__name__] += 1
+            if cls is inet.engine.AgentNode:
+                stack += node.children
+    return counts
+
+
+def alive():
+    """Engine objects the collector tracks, by class name."""
+    counts = dict.fromkeys((cls.__name__ for cls in ENGINE_CLASSES), 0)
+    for obj in gc.get_objects():
+        if obj.__class__ in ENGINE_CLASSES:
+            counts[obj.__class__.__name__] += 1
+    return counts
+
+
 def layer_memory(work):
-    """[(layer, peak bytes, held bytes)] of one pipeline run of `work`."""
+    """(rows, alive, reachable) of one pipeline run of `work`.
+
+    `rows` is [(layer, peak bytes, held bytes)]; `alive` and `reachable`
+    count the engine objects left after the run (see the module doc).
+    """
     rows = []
 
     def layer(name, fn, *args, **kwargs):
@@ -43,6 +88,7 @@ def layer_memory(work):
         return out
 
     gc.collect()
+    gc.disable()
     tracemalloc.start()
     try:
         system = layer("parse", inet.parse, work.source)
@@ -51,11 +97,13 @@ def layer_memory(work):
         result = layer("run", inet.engine.run, net,
                        inet.engine.EngineConfig(mode=work.mode))
         text = layer("format", inet.format_config, result.residual, canon=True)
+        counts = alive(), reachable(net)
     finally:
         tracemalloc.stop()
+        gc.enable()
     if diagnostics or text != work.expected_text:
         raise SystemExit(f"mem_layers: {work.name} gave a wrong result")
-    return rows
+    return (rows, *counts)
 
 
 def main(argv=None):
@@ -64,15 +112,19 @@ def main(argv=None):
     parser.add_argument("--size", type=int, help="default: the large size")
     args = parser.parse_args(argv)
     work = workloads.make(args.workload, 1, args.size)
-    rows = layer_memory(work)
+    rows, left, live = layer_memory(work)
     for name, peak, held in rows:
         print(f"{name:<9} peak {peak / 1e6:8.2f} MB  held {held / 1e6:8.2f} MB")
+    for name in left:
+        print(f"{name:<12} alive {left[name]:8d}  reachable {live[name]:8d}")
     print(json.dumps({
         "workload": work.name,
         "size": work.size,
         "layers": [{"layer": name, "peak_mb": round(peak / 1e6, 3),
                     "held_mb": round(held / 1e6, 3)}
                    for name, peak, held in rows],
+        "alive": left,
+        "reachable": live,
     }))
 
 
