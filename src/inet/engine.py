@@ -6,10 +6,11 @@ two, its left and right side), and every agent node and wire half links back
 to the owner whose slot holds it, so demand can climb one level per
 step. A name is a pair of mutually linked wire halves.
 `RuntimeNet.equations` keeps every equation ever created, in creation
-order; a dead one is an empty shell, flagged `alive = False` with its
-`children` dropped. Each step frees what it kills: it drops the links
-that kept the killed equation, roots and wire pair reachable, so
-reference counting frees them inside the step.
+order. Each step frees what it kills by unlinking it, and the dropped
+link is the only record of the death: a killed equation or root agent
+has `children` None, a killed wire half has `partner` None. So a dead
+equation stays in the list only as an empty shell, and reference
+counting frees the killed roots and wire pair inside the step.
 
 Only the open spine of the input is built: `load` makes a node for each
 agent term with a name or a `!` at or below it. Every other term, a
@@ -94,7 +95,7 @@ class AgentNode:
     starts with empty slots.
     """
 
-    __slots__ = ("symbol", "children", "parent", "needed", "in_queue", "alive")
+    __slots__ = ("symbol", "children", "parent", "needed", "in_queue")
 
     def __init__(self, symbol, needed, args=None):
         self.symbol = symbol
@@ -102,7 +103,6 @@ class AgentNode:
         self.parent = None
         self.needed = needed
         self.in_queue = False
-        self.alive = True
 
     def __repr__(self):
         mark = "!" if self.needed else ""
@@ -112,7 +112,7 @@ class AgentNode:
 class WireHalf:
     """One occurrence of a name; `partner` is the other occurrence."""
 
-    __slots__ = ("partner", "parent", "label", "pair_id", "alive")
+    __slots__ = ("partner", "parent", "label", "pair_id")
     needed = False  # demand never rests on a wire
 
     def __init__(self, label, pair_id):
@@ -120,7 +120,6 @@ class WireHalf:
         self.parent = None
         self.label = label
         self.pair_id = pair_id
-        self.alive = True
 
     def __repr__(self):
         return f"<wire {self.label or f'w{self.pair_id}'}>"
@@ -132,11 +131,10 @@ class EquationNode:
     A side is an agent node, a wire half or a held input term.
     """
 
-    __slots__ = ("children", "alive", "in_queue", "terminal")
+    __slots__ = ("children", "in_queue", "terminal")
 
     def __init__(self, lhs, rhs=None):
         self.children = [lhs, rhs]
-        self.alive = True
         self.in_queue = False
         self.terminal = None  # None | "observable" | "cyclic"
 
@@ -250,9 +248,6 @@ class _Queue:
 class RuntimeNet:
     """The mutable graph plus its queue, counters, and allocation state.
 
-    `n_labels` maps each user name that
-    starts with `n` to one half of its wire, so readback can tell which
-    fresh names `n{k}` are taken without walking the residual.
     `programs` maps an ordered pair of symbol ids to its compiled rule
     program, or to None when no rule covers the pair; each entry is
     filled the first time its pair meets. It is kept per net because a
@@ -269,7 +264,6 @@ class RuntimeNet:
         self.queue = _Queue()
         self.stats = Stats()
         self.pop_count = 0
-        self.n_labels: dict = {}
         self._pair_seq = 0
         self._window_ops = 0
 
@@ -281,33 +275,21 @@ class RuntimeNet:
         step already unlinked what it killed, so only the live net is
         left: every child list in it is emptied once and every wire drops
         its partner, which leaves no cycle. Held input terms belong to
-        the input configuration and are left whole.
+        the input configuration and are left whole, and so is a killed
+        node that a corrupted net still reaches: its `children` is None.
         """
         stack = self.live_equations()
         while stack:
             node = stack.pop()
-            if isinstance(node, WireHalf):
+            cls = node.__class__
+            if cls is WireHalf:
                 node.partner = None
-            elif isinstance(node, _OWNERS):
+            elif (cls is AgentNode or cls is EquationNode) and node.children:
                 stack += node.children
                 node.children.clear()
 
-    # -- `instantiate` and the step bodies write the graph inline, and each
-    #    step adds its fixed mutation count to the gauge window once.
-
-    def set_slot(self, owner, idx, node):
-        """Write a child slot and a graph node's owner link (one splice)."""
-        owner.children[idx] = node
-        if isinstance(node, _GRAPH_NODES):
-            node.parent = owner
-        self._window_ops += 1
-
     def live_equations(self):
-        return [eq for eq in self.equations if eq.alive]
-
-
-_OWNERS = (AgentNode, EquationNode)
-_GRAPH_NODES = (AgentNode, WireHalf)  # what else sits in a slot is a held term
+        return [eq for eq in self.equations if eq.children is not None]
 
 
 # --- template copy and loading ------------------------------------------------
@@ -362,8 +344,6 @@ def instantiate(net, config):
                     node.partner = other
                     other.partner = node
                     bindings[name] = other
-                    if name[0] == "n":
-                        net.n_labels[name] = node
                     pair_id += 1
             else:
                 sym = t.symbol
@@ -532,17 +512,14 @@ def compile_rule(rule, swapped):
 # pair id (_WIRE) or the waiting half's register (_REWIRE), and `mark`
 # is `keep` or `False`: numbers and fixed names, nothing of the input.
 _PROLOGUE = """def fire(net, q, S):
-    {}q.alive = False
-    r0, r1 = q.children
+    {}r0, r1 = q.children
     q.children = None
     if r0.__class__ is AgentNode:
-        r0.alive = False
-        r0 = r0.children
+        r0.children, r0 = None, r0.children
     else:
         r0 = r0.args
     if r1.__class__ is AgentNode:
-        r1.alive = False
-        r1 = r1.children
+        r1.children, r1 = None, r1.children
     else:
         r1 = r1.args
     keep = net.mode != FULL
@@ -592,12 +569,12 @@ _OPS = {_EQ: 2, _AGENT: 2, _WIRE: 3, _REWIRE: 1}  # 3 more for the kills
 def _kernel(shape):
     """(kernel, ops) of a rule shape; the kernel is generated on first use.
 
-    The kernel fires its rule in straight-line code: it kills the
-    equation and its two roots, drops the equation's sides so that
-    nothing keeps the roots, builds each new equation, agent and
-    wire pair in a local, places it, and enqueues inline (needed agents
-    first, then equations, as `_Queue.push` would, each adding one to
-    the gauge). A side may be a held input term: its `args` are read as
+    The kernel fires its rule in straight-line code: it reads the
+    roots' child lists into locals, kills the equation and its two roots
+    by dropping their child lists, so that nothing keeps the roots,
+    builds each new equation, agent and wire pair in a local, places
+    it, and enqueues inline (needed agents first, then equations, as
+    `_Queue.push` would, each adding one to the gauge). A side may be a held input term: its `args` are read as
     a node's children are, and a held argument goes onto its new
     equation's side as it is. Template `!` markers are kept in needed
     mode and dropped in full mode, read from `net.mode` at each firing,
@@ -713,8 +690,7 @@ def indirect_step(net, q, wire, other):
     """
     partner = wire.partner
     owner = partner.parent
-    wire.alive = partner.alive = q.alive = False
-    q.children = wire.partner = None
+    q.children = wire.partner = partner.partner = None
     owner.children[owner.children.index(partner)] = other
     if other.__class__ is not AgentTerm:
         other.parent = owner
@@ -752,7 +728,7 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None,
     otherwise it is None.
     """
     if entry.__class__ is EquationNode:
-        if not entry.alive or entry.terminal is not None:
+        if entry.children is None or entry.terminal is not None:
             return "stale", None
         lhs, rhs = entry.children
         if lhs.__class__ is WireHalf:
@@ -782,8 +758,7 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None,
             return "interaction", program.label
         kind = _classify_wire_equation(net, entry, wire)
         if kind == "loop":
-            lhs.alive = rhs.alive = entry.alive = False
-            entry.children = lhs.partner = None
+            entry.children = lhs.partner = rhs.partner = None
             net._window_ops += 3
             net.stats.loops_removed += 1
             return "loop", None
@@ -801,13 +776,13 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None,
 
     # Term node entry.
     node = entry
-    if not node.alive or net.mode == FULL:
+    if node.children is None or net.mode == FULL:
         return "stale", None
     owner = node.parent
     if owner.__class__ is EquationNode:
         # Queue plumbing, not a step: the demanded root is replaced by
         # its equation. Classified terminals never re-enter.
-        if owner.alive and owner.terminal is None:
+        if owner.children is not None and owner.terminal is None:
             net.queue.push(net, owner)
         return "plumb", None
     if owner.needed:
@@ -829,10 +804,10 @@ def readback(net: RuntimeNet) -> Configuration:
     Equations appear in creation order. Wire pairs render as names:
     a wire loaded from the input keeps its user name, wires created by rule
     instantiation get n0, n1, ... in first-occurrence order (skipping
-    any surviving user name they would collide with, which
-    `net.n_labels` lists). One walk builds each side in left-to-right
-    preorder and keeps each unlabelled pair's name terms; those are
-    named once the walk is done.
+    any surviving user name they would collide with). One walk builds
+    each side in left-to-right preorder, collects the user names it
+    meets and keeps each unlabelled pair's name terms; those are named
+    once the walk is done.
 
     A held input term reads back as itself, and the walk does not enter
     it. So the residual shares held subterms with the input
@@ -840,8 +815,7 @@ def readback(net: RuntimeNet) -> Configuration:
     live graph, the open spine load built plus what steps made, not the
     size of the residual.
     """
-    taken = net.n_labels = {label: half for label, half in net.n_labels.items()
-                            if half.alive}
+    taken = set()
     unnamed: dict = {}  # pair id -> its name terms, in first-occurrence order
     equations = []
     for eq in net.live_equations():
@@ -854,7 +828,9 @@ def readback(net: RuntimeNet) -> Configuration:
             if cls is WireHalf:
                 label = node.label
                 term = args[j] = NameTerm(label)
-                if not label:
+                if label:
+                    taken.add(label)
+                else:
                     unnamed.setdefault(node.pair_id, []).append(term)
             elif cls is not AgentNode:
                 args[j] = node  # a held input term
@@ -904,7 +880,12 @@ class _Auditor:
             while stack:
                 owner = stack.pop()
                 for j, node in enumerate(owner.children):
-                    if node is not None and not isinstance(node, _GRAPH_NODES):
+                    cls = node.__class__
+                    if cls is WireHalf:
+                        dead = node.partner is None
+                    elif cls is AgentNode:
+                        dead = node.children is None
+                    elif node is not None:
                         _check_held_term(node, owner, j, held)
                         continue
                     if node is None or node.parent is not owner:
@@ -914,13 +895,13 @@ class _Auditor:
                     if node in seen:
                         raise AuditError(f"{node!r} sits in two slots")
                     seen.add(node)
-                    if not node.alive:
+                    if dead:
                         raise AuditError(f"dead node {node!r} is reachable")
-                    if isinstance(node, WireHalf):
+                    if cls is WireHalf:
+                        if node.partner.partner is None:
+                            raise AuditError(f"{node!r} has a dead partner")
                         if node.partner.partner is not node:
                             raise AuditError(f"broken involution at {node!r}")
-                        if not node.partner.alive:
-                            raise AuditError(f"{node!r} has a dead partner")
                         pair_id = node.pair_id
                         pair_halves[pair_id] = pair_halves.get(pair_id, 0) + 1
                     else:
@@ -975,7 +956,7 @@ def _switch_to_full(net):
         stack = list(eq.children)
         while stack:
             node = stack.pop()
-            if isinstance(node, AgentNode):
+            if node.__class__ is AgentNode:
                 node.needed = False
                 stack.extend(node.children)
         if eq.terminal is None:
