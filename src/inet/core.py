@@ -24,8 +24,13 @@ UNDECLARED_SYMBOL = "UndeclaredSymbol"
 NEEDED_ON_NAME = "NeededOnName"
 ARGS_ON_NAME = "ArgsOnName"
 
-# (line, column), both 1-based.
-Loc = tuple
+# A `loc`: a 1-based (line, column), or as parsed, one int line << 32 | column.
+Loc = Union[tuple, int]
+
+
+def unpack_loc(loc):
+    """The (line, column) tuple of a location, packed or not."""
+    return (loc >> 32, loc & 0xFFFFFFFF) if loc.__class__ is int else loc
 
 
 def collector_paused(fn):
@@ -294,7 +299,10 @@ class InteractionSystem:
 class Diagnostic:
     category: str
     message: str
-    loc: Optional[Loc] = None
+    loc: Optional[Loc] = None  # a (line, column) tuple once built
+
+    def __post_init__(self):
+        self.loc = unpack_loc(self.loc)
 
     def __str__(self):
         where = f"{self.loc[0]}:{self.loc[1]}: " if self.loc else ""

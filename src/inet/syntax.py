@@ -22,10 +22,11 @@ split's pattern starts with a character class, so the regex engine skips
 the text between runs in C. One `findall` cuts each trivia-free run into
 token strings, interned so that equal tokens share one string. Their
 offsets are running sums of their lengths from the run's start, kept in
-one `array('q')` rather than as an int object each. A (line, column) is
-computed only where it is kept, on terms, rules, equations and errors:
-the line by bisecting the newline offsets, the column from that line's
-start, so a tab or a carriage return counts one column.
+one 4-byte `array('I')`, so a text of 2**32 characters or more is
+refused. A location is computed only where it is kept, on terms, rules,
+equations and errors, by bisecting the newline offsets (a tab or a
+carriage return counts one column). A term, rule or equation keeps it
+packed in one int, a `core.Loc`, decoded where a diagnostic is built.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .core import (
     RuleSet,
     RuleSide,
     Signature,
+    unpack_loc,
 )
 
 _KEYWORDS = frozenset({"agent", "rule", "net"})
@@ -93,12 +95,14 @@ class _Parser:
     at the end of input; no index past the first is read."""
 
     def __init__(self, text: str):
+        if len(text) >> 32:
+            raise ParseError("input is too long: 2**32 characters or more", 1, 1)
         self.line_ends = [-1] + [m.start() for m in re.finditer("\n", text)]
         ok = _WELL_FORMED_RE.match(text).end()
         if ok < len(text):
             raise ParseError(f"unexpected character {text[ok]!r}",
-                             *self.position(ok))
-        vals, starts, offset = [], array("q"), 0
+                             *unpack_loc(self.locate(ok)))
+        vals, starts, offset = [], array("I"), 0
         pieces = iter(_TRIVIA_RE.split(text))
         for run in pieces:
             tokens = _LEXEME_RE.findall(run)
@@ -112,13 +116,13 @@ class _Parser:
         self.signature = Signature()
         self.agents = {}  # name -> AgentSymbol, filled by declare_agents
 
-    def position(self, offset):
-        """1-based (line, column) of a text offset."""
+    def locate(self, offset):
+        """The packed `Loc` of a text offset."""
         line = bisect_right(self.line_ends, offset)
-        return line, offset - self.line_ends[line - 1]
+        return line << 32 | offset - self.line_ends[line - 1]
 
     def error(self, i, message, category=None):
-        raise ParseError(message, *self.position(self.starts[i]), category)
+        raise ParseError(message, *unpack_loc(self.locate(self.starts[i])), category)
 
     def expect(self, i, op):
         """Index after token i, which must be `op`."""
@@ -174,7 +178,7 @@ class _Parser:
                     self.error(i, "expected arity")
                 i += 1
             elif item == "rule":
-                loc = self.position(self.starts[i])
+                loc = self.locate(self.starts[i])
                 left, i = self.rule_side(i + 1)
                 right, i = self.rule_side(self.expect(i, "><"))
                 rules.add(Rule(left, right, loc=loc))
@@ -214,7 +218,7 @@ class _Parser:
         i = self.expect(i, "{")
         equations = []
         while vals[i] != "}":
-            loc = self.position(starts[i])
+            loc = self.locate(starts[i])
             lhs, i = self.term(i)
             rhs, i = self.term(self.expect(i, "="))
             i = self.expect(i, ";")
@@ -238,7 +242,7 @@ class _Parser:
                 token = vals[i]
             offset = starts[i]
             line = bisect_right(line_ends, offset)
-            loc = (line, offset - line_ends[line - 1])
+            loc = line << 32 | offset - line_ends[line - 1]
             sym = agents.get(token)
             if sym is None:
                 self.ident(i, "agent or name")

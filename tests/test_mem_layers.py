@@ -22,6 +22,13 @@ def test_layers_come_in_pipeline_order_with_peak_at_least_held(workload):
         "parse", "validate", "load", "run", "format"]
     for row in layers:
         assert row["peak_mb"] >= row["held_mb"] > 0, row
+    # A workload of size 400 has at least 400 terms, and a parsed term
+    # holds some tens of bytes at least (`held_mb` is rounded to kB).
+    assert report["terms"] >= 400
+    per_term = report["parse_bytes_per_term"]
+    assert per_term == pytest.approx(layers[0]["held_mb"] * 1e6 / report["terms"],
+                                     rel=0.02)
+    assert 50 < per_term < 1000
     # Each step frees what it kills, so every node left is a live one.
     for cls in ("AgentNode", "WireHalf"):
         assert report["alive"][cls] == report["reachable"][cls], cls

@@ -18,11 +18,19 @@ from inet import (
     validate_system,
 )
 from inet.core import (
+    AgentSymbol,
     AgentTerm,
     ARGS_ON_NAME,
+    Configuration,
+    Diagnostic,
+    Equation,
+    InteractionSystem,
     iter_terms,
     NameTerm,
     NEEDED_ON_NAME,
+    RuleSet,
+    Signature,
+    unpack_loc,
 )
 from inet.fixtures import delegation_chain, fixture_text
 from inet.syntax import _TRIVIA_RE
@@ -284,7 +292,7 @@ def test_every_location_points_at_its_token():
         index = {offset: k for k, offset in enumerate(starts)}
 
         def token_at(loc):
-            line, col = loc
+            line, col = unpack_loc(loc)
             return index[line_starts[line - 1] + col - 1]
 
         def check_term(root):
@@ -306,6 +314,84 @@ def test_every_location_points_at_its_token():
                 assert token_at(eq.lhs.loc) == k + needed
                 check_term(eq.lhs)
                 check_term(eq.rhs)
+
+
+def where(text, token):
+    """`line:col` of the first `token` in `text`, counted apart from the
+    parser: 1-based, every character one column, lines split on LF."""
+    at = text.index(token)
+    return f"{text.count(chr(10), 0, at) + 1}:{at - text.rfind(chr(10), 0, at)}"
+
+
+def diagnostics_of(text):
+    diags = validate_system(parse(text))
+    assert all(d.loc.__class__ is tuple for d in diags)
+    return [str(d) for d in diags]
+
+
+def test_diagnostic_past_column_70000():
+    text = "agent A/1 agent B/0\nnet { " + "B = B; " * 10000 + "A(y, y) = B; }"
+    assert int(where(text, "A(y").split(":")[1]) > 70000
+    assert diagnostics_of(text) == [
+        f"{where(text, 'A(y')}: ArityMismatch: A has arity 1 but is applied "
+        f"to 2 argument(s) in net"]
+
+
+def test_diagnostic_past_line_70000():
+    text = "agent B/0\nnet big {\n" + "B = B;\n" * 70000 + "\t w = B;\n}\n"
+    assert int(where(text, "w =").split(":")[0]) > 70000
+    assert diagnostics_of(text) == [
+        f"{where(text, 'w =')}: NameLinearity: name 'w' occurs 1 time(s) in "
+        f"net 'big'; names must occur exactly twice or not at all"]
+
+
+def test_parse_error_past_line_and_column_70000():
+    for text in ("agent B/0\nnet {" + "\n" * 70000 + "B = B B; }",
+                 "agent B/0 net {" + " " * 70000 + "B = B B; }"):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"{where(text, 'B; }')}: expected ';', got 'B'"
+
+
+def test_rule_diagnostics_after_crlf_and_tabs():
+    text = ("agent A/1\r\nagent B/0\r\n\t\r\n"
+            "rule A[\tn] >< B[]\r\n"
+            "\t\trule B[] >< A[B(\tB)]\r\n")
+    assert diagnostics_of(text) == [
+        f"{where(text, 'n]')}: NameLinearity: name 'n' occurs 1 time(s) in "
+        f"rule A><B; rule names must occur exactly twice",
+        f"{where(text, 'B(')}: ArityMismatch: B has arity 0 but is applied "
+        f"to 1 argument(s) in rule",
+        f"{where(text, 'rule B')}: DuplicateRule: duplicate rule for pair B><A",
+    ]
+
+
+def test_diagnostic_loc_is_a_tuple_for_parsed_and_hand_built_asts():
+    parsed = parse("agent A/0\n\tnet { A = \n  x; }").nets[""].equations[0]
+    assert parsed.rhs.loc.__class__ is int
+    assert Diagnostic("C", "m", parsed.rhs.loc).loc == (3, 3)
+    assert Diagnostic("C", "m", (3, 3)).loc == (3, 3)
+    assert Diagnostic("C", "m").loc is None
+
+    sig = Signature()
+    ghost = AgentSymbol(7, "Ghost", 0)
+    config = Configuration([Equation(AgentTerm(ghost, [], loc=(70001, 70002)),
+                                     NameTerm("x", loc=(2, 1)))])
+    diags = validate_system(InteractionSystem(sig, RuleSet(), {"": config}))
+    assert [d.loc for d in diags] == [(70001, 70002), (2, 1)]
+
+
+class _HugeText(str):
+    """A short text that reports a length of 2**32 characters."""
+
+    def __len__(self):
+        return 1 << 32
+
+
+def test_text_of_2_to_the_32_characters_is_refused():
+    with pytest.raises(ParseError) as info:
+        parse(_HugeText("agent A/0"))
+    assert str(info.value) == "1:1: input is too long: 2**32 characters or more"
 
 
 def test_format_config_plain_and_canon(omega_system):

@@ -23,8 +23,10 @@ node counts agree; the alive equations also count the dead shells that
 `RuntimeNet.equations` keeps.
 
 The last stdout line is one JSON object: workload, size, the layers
-with their `peak_mb` and `held_mb`, and the `alive` and `reachable`
-counts by class. Exits 1 if the pipeline's output is wrong.
+with their `peak_mb` and `held_mb`, `terms` (the terms of the parsed
+input, in its rules and nets), `parse_bytes_per_term` (the bytes parse
+still holds divided by `terms`), and the `alive` and `reachable` counts
+by class. Exits 1 if the pipeline's output is wrong.
 """
 
 from __future__ import annotations
@@ -63,6 +65,15 @@ def reachable(net):
     return counts
 
 
+def term_count(system):
+    """Terms of a system: those of its rule templates and of its nets."""
+    templates = [t for rule in system.rules for side in (rule.left, rule.right)
+                 for t in side.templates]
+    return (sum(1 for root in templates for _ in inet.core.iter_terms(root))
+            + sum(1 for config in system.nets.values()
+                  for _ in inet.core.iter_config_terms(config)))
+
+
 def alive():
     """Engine objects the collector tracks, by class name."""
     counts = dict.fromkeys((cls.__name__ for cls in ENGINE_CLASSES), 0)
@@ -73,10 +84,11 @@ def alive():
 
 
 def layer_memory(work):
-    """(rows, alive, reachable) of one pipeline run of `work`.
+    """(rows, terms, alive, reachable) of one pipeline run of `work`.
 
-    `rows` is [(layer, peak bytes, held bytes)]; `alive` and `reachable`
-    count the engine objects left after the run (see the module doc).
+    `rows` is [(layer, peak bytes, held bytes)]; `terms` counts the
+    parsed input's terms; `alive` and `reachable` count the engine
+    objects left after the run (see the module doc).
     """
     rows = []
 
@@ -103,7 +115,7 @@ def layer_memory(work):
         gc.enable()
     if diagnostics or text != work.expected_text:
         raise SystemExit(f"mem_layers: {work.name} gave a wrong result")
-    return (rows, *counts)
+    return (rows, term_count(system), *counts)
 
 
 def main(argv=None):
@@ -112,9 +124,11 @@ def main(argv=None):
     parser.add_argument("--size", type=int, help="default: the large size")
     args = parser.parse_args(argv)
     work = workloads.make(args.workload, 1, args.size)
-    rows, left, live = layer_memory(work)
+    rows, terms, left, live = layer_memory(work)
     for name, peak, held in rows:
         print(f"{name:<9} peak {peak / 1e6:8.2f} MB  held {held / 1e6:8.2f} MB")
+    per_term = rows[0][2] / terms
+    print(f"terms     {terms:8d}  parse holds {per_term:.1f} bytes per term")
     for name in left:
         print(f"{name:<12} alive {left[name]:8d}  reachable {live[name]:8d}")
     print(json.dumps({
@@ -123,6 +137,8 @@ def main(argv=None):
         "layers": [{"layer": name, "peak_mb": round(peak / 1e6, 3),
                     "held_mb": round(held / 1e6, 3)}
                    for name, peak, held in rows],
+        "terms": terms,
+        "parse_bytes_per_term": round(per_term, 1),
         "alive": left,
         "reachable": live,
     }))
