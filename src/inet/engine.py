@@ -52,13 +52,15 @@ differential oracle for the demand-driven mode.
 
 Load walks the input net once: the walk that builds the spine also
 checks every term, and `validate_system` runs only if that check or
-the one on the rules and other nets flags. Readback walks the live
-graph, the spine load built plus what steps made, and returns a held
-term as it is, so the residual shares held subterms with the input
-configuration and callers must not mutate them. `load`, `run` and
-`readback` pause the cyclic collector (`core.collector_paused`): they
-create no cyclic garbage, and a dropped net unlinks its live graph, so
-reference counting frees it.
+the one on the rules and other nets flags. The walk keeps no frame per
+term, only the agent terms on the path above the current one and their
+slots, so a closed term costs it two list slots per nesting level.
+Readback walks the live graph, the spine load built plus what steps
+made, and returns a held term as it is, so the residual shares held
+subterms with the input configuration and callers must not mutate them.
+`load`, `run` and `readback` pause the cyclic collector
+(`core.collector_paused`): they create no cyclic garbage, and a dropped
+net unlinks its live graph, so reference counting frees it.
 """
 
 from __future__ import annotations
@@ -301,10 +303,14 @@ def instantiate(net, config):
     walk, each equation's left side and then its right in preorder,
     checks every term and builds a node for each open term, roots
     included; every other term, a closed one, stays on its equation's
-    side or in its parent's slot as the input term itself. A term's node
-    is built when the walk first meets a name or a `!` at or below it
-    (`_open_path`), so nodes, wires and needed markers come in preorder.
-    Each wire keeps its name as a label, so user names survive to the
+    side or in its parent's slot as the input term itself. The walk
+    keeps no frame per term: its pending stack holds `(depth, slot,
+    term)` entries, and a path holds the agent terms above the current
+    one with their slots, beside the nodes built for a prefix of them.
+    A popped entry first cuts the path to its depth. A name or a `!`
+    then builds the path's unbuilt nodes from the top down and places
+    its own, so nodes, wires and needed markers come in preorder. Each
+    wire keeps its name as a label, so user names survive to the
     residual. Needed markers are dropped in full mode.
 
     Returns (needed nodes created, passed). `passed` is False if a
@@ -324,17 +330,22 @@ def instantiate(net, config):
     stack = []
     push = stack.append
     pop = stack.pop
+    path, slots = [], []  # the agent terms above the current one
+    path_add, slot_add = path.append, slots.append
+    top = 0  # len(path)
     for ast_eq in config.equations:
         eq = EquationNode(ast_eq.lhs, ast_eq.rhs)
         net.equations.append(eq)
-        # A frame is [term, parent frame, slot in the parent, node or None].
-        top = [None, None, None, eq]
-        push([ast_eq.rhs, top, 1, None])
-        push([ast_eq.lhs, top, 0, None])
+        nodes = [eq]  # then the nodes built for a prefix of the path
+        push((0, 1, ast_eq.rhs))
+        push((0, 0, ast_eq.lhs))
         while stack:
-            frame = pop()
-            t, up, i, _ = frame
-            if isinstance(t, NameTerm):
+            depth, slot, t = pop()
+            if top > depth:
+                del path[depth:], slots[depth:], nodes[depth + 1:]
+                top = depth
+            # An agent term skips the isinstance call.
+            if t.__class__ is not AgentTerm and isinstance(t, NameTerm):
                 name = t.name
                 counts[name] = counts.get(name, 0) + 1
                 node = bindings.pop(name, None)
@@ -350,42 +361,35 @@ def instantiate(net, config):
                 args = t.args
                 if declared(sym.name) is not sym or len(args) != sym.arity:
                     passed = False
+                path_add(t)
+                slot_add(slot)
+                top = depth + 1
                 k = len(args)
                 while k:
                     k -= 1
-                    push([args[k], frame, k, None])
+                    push((top, k, args[k]))
                 if not t.needed:
                     continue
-                node = frame[3] = AgentNode(sym, keep_needed, args)
+                node = AgentNode(sym, keep_needed, args)
                 if keep_needed:
                     needed_nodes.append(node)
-            owner = up[3]
-            if owner is None:
-                owner = _open_path(up)
-            owner.children[i] = node
+            # Build the path's unbuilt nodes from the top down (none
+            # holds a `!`: that one was built when the walk met it), then
+            # place this node below the last; an agent's joins them.
+            owner = nodes[-1]
+            for j in range(len(nodes) - 1, depth):
+                up = path[j]
+                built = AgentNode(up.symbol, False, up.args)
+                owner.children[slots[j]] = built
+                built.parent = owner
+                nodes.append(built)
+                owner = built
+            owner.children[slot] = node
             node.parent = owner
+            if node.__class__ is AgentNode:
+                nodes.append(node)
     net._pair_seq = pair_id
     return needed_nodes, passed and all(n == 2 for n in counts.values())
-
-
-def _open_path(frame):
-    """Build the node of `frame` and of each ancestor without one; return it.
-
-    The frames built here hold no `!` term (that one gets its node when
-    the walk visits it), so every node is unmarked.
-    """
-    path = []
-    while frame[3] is None:
-        path.append(frame)
-        frame = frame[1]
-    owner = frame[3]
-    for frame in reversed(path):
-        t = frame[0]
-        node = frame[3] = AgentNode(t.symbol, False, t.args)
-        owner.children[frame[2]] = node
-        node.parent = owner
-        owner = node
-    return owner
 
 
 @collector_paused

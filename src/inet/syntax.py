@@ -229,7 +229,10 @@ class _Parser:
         """Parse the term at token i; return it and the index after it.
 
         Nesting can be far deeper than the recursion limit, so one loop
-        keeps each open application `(symbol, needed, loc, args)` on a stack.
+        keeps each open application `(symbol, needed, loc, args)` on a
+        stack. `args` is None until the application's first `,`, then a
+        list of the arguments before the last `,`; its `)` builds the
+        term's list by concatenation, so it has exactly its length.
         """
         vals, starts, line_ends, agents = (self.vals, self.starts,
                                            self.line_ends, self.agents)
@@ -258,7 +261,7 @@ class _Parser:
             elif vals[i + 1] == "(":
                 i += 2
                 if vals[i] != ")":
-                    stack.append((sym, needed, loc, []))
+                    stack.append((sym, needed, loc, None))
                     continue
                 i += 1
                 term = AgentTerm(sym, [], needed, loc)
@@ -268,16 +271,21 @@ class _Parser:
 
             # Attach the completed term to the enclosing applications.
             while stack:
-                stack[-1][3].append(term)
                 token = vals[i]
                 if token == ",":
                     i += 1
+                    sym, needed, loc, args = stack[-1]
+                    if args is None:
+                        stack[-1] = (sym, needed, loc, [term])
+                    else:
+                        args.append(term)
                     break  # parse the next argument
                 if token != ")":
                     self.error(i, f"expected ',' or ')', got {_shown(token)!r}")
                 i += 1
                 sym, needed, loc, args = stack.pop()
-                term = AgentTerm(sym, args, needed, loc)
+                term = AgentTerm(sym, [term] if args is None else args + [term],
+                                 needed, loc)
             else:
                 return term, i
 
@@ -290,7 +298,9 @@ def parse(text) -> InteractionSystem:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not valid UTF-8: {exc}", 1, 1) from None
-    return _Parser(text).parse_file()
+    parser = _Parser(text)
+    del text  # a decoded text is needed only by the scan
+    return parser.parse_file()
 
 
 # --- printing ---------------------------------------------------------------

@@ -80,7 +80,9 @@ def collections_inside(calls):
     gc.callbacks.append(on_collection)
     try:
         for mode in ("needed", "full"):
-            pipeline(calls, add_source(2000), mode)
+            # Every agent is open, so load builds a node for each: a
+            # load of `add_source` builds four and may start no pass.
+            pipeline(calls, open_add_source(2000), mode)
     finally:
         gc.callbacks.remove(on_collection)
     return inside
@@ -163,3 +165,21 @@ def test_parse_keeps_little_scan_state_beyond_what_it_returns():
         tracemalloc.stop()
     assert len(system.get_net("add")) == 2
     assert peak <= 1.3 * held
+
+
+@pytest.mark.parametrize("n", [4000, 16000])
+@pytest.mark.parametrize("mode", ["needed", "full"])
+def test_load_holds_constant_memory_per_closed_level(mode, n):
+    # Load's walk keeps no frame per term: at the bottom of a closed
+    # chain `S^n(Z)` it holds two list slots per level (about 17 bytes),
+    # not a frame list linked to its parent's (88 bytes).
+    system = parse(add_source(n))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        net = load(system, "add", mode=mode)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(net.equations) == 2
+    assert (peak - held) / n < 32

@@ -22,6 +22,9 @@ def test_layers_come_in_pipeline_order_with_peak_at_least_held(workload):
         "parse", "validate", "load", "run", "format"]
     for row in layers:
         assert row["peak_mb"] >= row["held_mb"] > 0, row
+        assert row["transient_mb"] >= 0, row
+    # The layer named as setting the peak is the one with the largest.
+    assert report["peak_layer"] == max(layers, key=lambda row: row["peak_mb"])["layer"]
     # A workload of size 400 has at least 400 terms, and a parsed term
     # holds some tens of bytes at least (`held_mb` is rounded to kB).
     assert report["terms"] >= 400

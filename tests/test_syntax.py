@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import sys
 
 import pytest
 
@@ -25,6 +26,7 @@ from inet.core import (
     Diagnostic,
     Equation,
     InteractionSystem,
+    iter_config_terms,
     iter_terms,
     NameTerm,
     NEEDED_ON_NAME,
@@ -32,8 +34,9 @@ from inet.core import (
     Signature,
     unpack_loc,
 )
-from inet.fixtures import delegation_chain, fixture_text
+from inet.fixtures import available, delegation_chain, fixture_text
 from inet.syntax import _TRIVIA_RE
+from test_cli_golden import SOURCES as GOLDEN_SOURCES
 from test_properties import make_case
 
 
@@ -254,6 +257,64 @@ def test_roundtrip_deep_chain():
     second = parse(format_system(first))
     assert format_system(first) == format_system(second)
     assert first.nets == second.nets
+
+
+def agent_terms(system):
+    """Every agent term of a parsed system: rule templates and net sides."""
+    roots = [t for rule in system.rules for side in (rule.left, rule.right)
+             for t in side.templates]
+    terms = [t for root in roots for t in iter_terms(root)]
+    terms += (t for config in system.nets.values()
+              for t in iter_config_terms(config))
+    return [t for t in terms if isinstance(t, AgentTerm)]
+
+
+def has_exact_size(args):
+    return sys.getsizeof(args) == sys.getsizeof([None] * len(args))
+
+
+ARITIES_0_TO_4 = (
+    "agent Z/0 agent S/1 agent A/2 agent B/3 agent C/4\n"
+    "rule C[a, b, c, d] >< B[B(a, b, S(c)), A(d, Z), Z()]\n"
+    "net { C(Z, S(Z), A(Z, Z), B(Z, Z, Z)) = C(Z(), x, !A(x, y), y);\n"
+    "      !B(S(S(u)), A(u, Z), C(Z, Z, Z, Z)) = S(Z); }\n"
+)
+
+
+def test_parsed_argument_lists_have_exact_size():
+    # A list grown by `append` keeps spare slots; parse builds each
+    # argument list once, at its `)`, so a parsed list has none.
+    sources = [fixture_text(name) for name in available()]
+    sources += GOLDEN_SOURCES.values()
+    sources += (format_system(make_case(seed)) for seed in range(200))
+    sources.append(ARITIES_0_TO_4)
+    arities = set()
+    for source in sources:
+        for t in agent_terms(parse(source)):
+            assert has_exact_size(t.args), (t.symbol.name, len(t.args))
+            arities.add(len(t.args))
+    assert arities >= {0, 1, 2, 3, 4}
+
+
+def test_mismatched_argument_counts_parse_to_exact_lists():
+    system = parse("agent Z/0 agent S/1 agent A/2\nnet n {\n"
+                   "  S(Z, Z) = A(Z);\n  A() = S(Z, S(Z, Z, Z), Z);\n}\n")
+    terms = agent_terms(system)
+    assert all(has_exact_size(t.args) for t in terms)
+    assert [(t.symbol.name, len(t.args)) for t in terms if t.symbol.name != "Z"] == [
+        ("S", 2), ("A", 1), ("A", 0), ("S", 3), ("S", 3)]
+    assert [(str(d), d.loc) for d in validate_system(system)] == [
+        ("3:3: ArityMismatch: S has arity 1 but is applied to 2 argument(s) "
+         "in net 'n'", (3, 3)),
+        ("3:13: ArityMismatch: A has arity 2 but is applied to 1 argument(s) "
+         "in net 'n'", (3, 13)),
+        ("4:3: ArityMismatch: A has arity 2 but is applied to 0 argument(s) "
+         "in net 'n'", (4, 3)),
+        ("4:9: ArityMismatch: S has arity 1 but is applied to 3 argument(s) "
+         "in net 'n'", (4, 9)),
+        ("4:14: ArityMismatch: S has arity 1 but is applied to 3 argument(s) "
+         "in net 'n'", (4, 14)),
+    ]
 
 
 _TRIVIA = (" ", "\t", "\r\n", "\n\n", "# c ( ] {\n", "\n# note; !x\n")

@@ -8,9 +8,11 @@ size unless `--size` is given) and runs once the pipeline that
 `perfbench/run.py` measures: parse -> validate -> load -> run -> format,
 with `inet` imported from this checkout's `src/`. Under `tracemalloc`,
 it prints for each layer in that order the peak of traced memory while
-the layer ran (`tracemalloc.reset_peak` before it) and the memory still
-traced after it, in MB. Both include what the earlier layers still
-hold, so the largest peak is the pipeline's `peak_mem_mb`.
+the layer ran (`tracemalloc.reset_peak` before it), the memory still
+traced after it, and its transient, the peak less what was traced just
+before it, in MB. Peak and held include what the earlier layers still
+hold, so the largest peak is the pipeline's `peak_mem_mb`, and the
+layer that reached it is printed as the one that sets the peak.
 
 The cyclic collector stays off for the whole pipeline, as it is inside
 the library calls, so what the run left is what reference counting
@@ -23,7 +25,8 @@ node counts agree; the alive equations also count the dead shells that
 `RuntimeNet.equations` keeps.
 
 The last stdout line is one JSON object: workload, size, the layers
-with their `peak_mb` and `held_mb`, `terms` (the terms of the parsed
+with their `peak_mb`, `held_mb` and `transient_mb`, `peak_layer` (the
+layer with the largest peak, the first one on a tie), `terms` (the terms of the parsed
 input, in its rules and nets), `parse_bytes_per_term` (the bytes parse
 still holds divided by `terms`), and the `alive` and `reachable` counts
 by class. Exits 1 if the pipeline's output is wrong.
@@ -86,17 +89,19 @@ def alive():
 def layer_memory(work):
     """(rows, terms, alive, reachable) of one pipeline run of `work`.
 
-    `rows` is [(layer, peak bytes, held bytes)]; `terms` counts the
-    parsed input's terms; `alive` and `reachable` count the engine
-    objects left after the run (see the module doc).
+    `rows` is [(layer, peak bytes, held bytes, transient bytes)]; `terms`
+    counts the
+    parsed input's terms; `alive` and `reachable` count the engine objects
+    left after the run (see the module doc).
     """
     rows = []
 
     def layer(name, fn, *args, **kwargs):
+        before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         out = fn(*args, **kwargs)
         held, peak = tracemalloc.get_traced_memory()
-        rows.append((name, peak, held))
+        rows.append((name, peak, held, peak - before))
         return out
 
     gc.collect()
@@ -125,8 +130,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     work = workloads.make(args.workload, 1, args.size)
     rows, terms, left, live = layer_memory(work)
-    for name, peak, held in rows:
-        print(f"{name:<9} peak {peak / 1e6:8.2f} MB  held {held / 1e6:8.2f} MB")
+    for name, peak, held, transient in rows:
+        print(f"{name:<9} peak {peak / 1e6:8.2f} MB  held {held / 1e6:8.2f} MB"
+              f"  transient {transient / 1e6:8.2f} MB")
+    peak_layer = max(rows, key=lambda row: row[1])[0]
+    print(f"peak      set by {peak_layer}")
     per_term = rows[0][2] / terms
     print(f"terms     {terms:8d}  parse holds {per_term:.1f} bytes per term")
     for name in left:
@@ -135,8 +143,10 @@ def main(argv=None):
         "workload": work.name,
         "size": work.size,
         "layers": [{"layer": name, "peak_mb": round(peak / 1e6, 3),
-                    "held_mb": round(held / 1e6, 3)}
-                   for name, peak, held in rows],
+                    "held_mb": round(held / 1e6, 3),
+                    "transient_mb": round(transient / 1e6, 3)}
+                   for name, peak, held, transient in rows],
+        "peak_layer": peak_layer,
         "terms": terms,
         "parse_bytes_per_term": round(per_term, 1),
         "alive": left,
