@@ -30,9 +30,11 @@ equations) and performs one of three counted steps:
 
 Each step's mutation footprint is local (one equation, its roots, one
 rule instance, one wire partner), which is what keeps the per-step cost
-independent of configuration size. A step body writes the graph itself
-and adds its fixed mutation count once (see `Stats`), plus one per
-enqueue. An interaction calls a straight-line kernel: `compile_rule`
+independent of configuration size. `process_entry` is the one routine
+for a pop: it classifies the entry, checks the step budget once, counts
+the step and its kind in `Stats`, and then performs the step. A step
+writes the graph itself and adds its fixed mutation count once, plus
+one per enqueue. An interaction calls a straight-line kernel: `compile_rule`
 builds a rule's program once per ordered symbol pair per net (cached in
 `RuntimeNet.programs`), and the kernel it holds is generated once per
 process for each rule shape, the rule's creation sequence with its
@@ -154,8 +156,10 @@ class EquationNode:
 class Stats:
     """Step counters plus the per-pop mutation and read gauges.
 
-    `steps` is always `interactions + indirections + delegations`;
-    loop removals and terminal classifications are not steps.
+    `steps` is always `interactions + indirections + delegations`:
+    `process_entry` adds one to `steps` and one to the kind's counter
+    for each step, and nothing else writes them. Loop removals and
+    terminal classifications are not steps.
     `max_ops_per_step` is a maximum over every pop, bookkeeping
     included: a fixed count per outcome (interaction its program's
     `ops`, indirection 4, loop 3, delegation, observable and cyclic 1,
@@ -552,9 +556,6 @@ _PIECES = {
 """,
 }
 _EPILOGUE = """    net.equations += ({})
-    stats = net.stats
-    stats.interactions += 1
-    stats.steps += 1
     items = net.queue._items
     if keep:
         n = {}
@@ -578,12 +579,14 @@ def _kernel(shape):
     by dropping their child lists, so that nothing keeps the roots,
     builds each new equation, agent and wire pair in a local, places
     it, and enqueues inline (needed agents first, then equations, as
-    `_Queue.push` would, each adding one to the gauge). A side may be a held input term: its `args` are read as
-    a node's children are, and a held argument goes onto its new
-    equation's side as it is. Template `!` markers are kept in needed
-    mode and dropped in full mode, read from `net.mode` at each firing,
-    so a kernel outlives a switch. The source holds only integers and
-    fixed local names; the symbols come in as an argument.
+    `_Queue.push` would, each adding one to the gauge). It writes no
+    step counter: `process_entry` counts the step. A side may be a held
+    input term: its `args` are read as a node's children are, and a held
+    argument goes onto its new equation's side as it is. Template `!`
+    markers are kept in needed mode and dropped in full mode, read from
+    `net.mode` at each firing, so a kernel outlives a switch. The source
+    holds only integers and fixed local names; the symbols come in as an
+    argument.
     """
     known = _KERNELS.get(shape)
     if known is not None:
@@ -632,26 +635,21 @@ def _kernel(shape):
     return known
 
 
-def _classify_wire_equation(net, q, wire):
-    """Where is the partner of a wire side? Decides loop/cyclic/splice.
+def _partner_inside(net, q, partner, other):
+    """Is `partner` strictly inside `other`, the equation's other side?
 
-    The equation is cyclic exactly when the partner lies strictly inside
-    the other side. Two read-only searches run in lock step and the
-    first to finish decides: a walk down through the other side (cyclic
-    if it meets the partner, splice if it runs out of nodes) and a climb
-    up the partner's parent links (cyclic if it reaches `q`, splice if
-    it reaches any other equation). Reads are therefore bounded by the
-    smaller of the other side's size and the partner's depth. An
-    interaction equates each old argument with a fresh template
-    instance, so for the equations it makes one of the two is usually
-    bounded by the rule's size. Each subtree node visited and each
-    parent hop counts one read toward `max_reads_per_step`.
+    If so, the wire equation `q` is cyclic; if not, it splices. Two
+    read-only searches run in lock step and the first to finish decides:
+    a walk down through `other` (inside if it meets the partner, not if
+    it runs out of nodes) and a climb up the partner's parent links
+    (inside if it reaches `q`, not if it reaches any other equation).
+    Reads are therefore bounded by the smaller of the other side's size
+    and the partner's depth. An interaction equates each old argument
+    with a fresh template instance, so for the equations it makes one of
+    the two is usually bounded by the rule's size. Each subtree node
+    visited and each parent hop counts one read toward
+    `max_reads_per_step`. The caller has ruled out `partner is other`.
     """
-    partner = wire.partner
-    lhs, rhs = q.children
-    other = rhs if wire is lhs else lhs
-    if partner is other:
-        return "loop"
     pending = [other]
     up = partner
     reads = 0
@@ -659,7 +657,6 @@ def _classify_wire_equation(net, q, wire):
         node = pending.pop()
         reads += 1
         if node is partner:
-            kind = "cyclic"
             break
         cls = node.__class__
         if cls is AgentNode:
@@ -667,79 +664,54 @@ def _classify_wire_equation(net, q, wire):
         elif cls is not WireHalf:
             pending += node.args  # a held input term
         if not pending:
-            kind = "splice"
             break
         up = up.parent
         reads += 1
         if up.__class__ is not AgentNode:
-            kind = "cyclic" if up is q else "splice"
             break
-    stats = net.stats
-    if reads > stats.max_reads_per_step:
-        stats.max_reads_per_step = reads
-    return kind
-
-
-def indirect_step(net, q, wire, other):
-    """Eliminate a wire equation by splicing; assumes classification 'splice'.
-
-    `other`, the non-wire side (or the right side, when both are wires),
-    moves into the slot held by the partner of `wire`; both halves and
-    the equation die, and drop the links that kept them, so they are
-    freed here. A needed term that was substituted re-enters the
-    queue, since its demand must climb from its new position. The
-    partner's slot is found by searching its owner's children, at most
-    the largest arity; that search is not a classifier read. Mutations:
-    three kills and the slot write.
-    """
-    partner = wire.partner
-    owner = partner.parent
-    q.children = wire.partner = partner.partner = None
-    owner.children[owner.children.index(partner)] = other
-    if other.__class__ is not AgentTerm:
-        other.parent = owner
-    net._window_ops += 4
-    stats = net.stats
-    stats.indirections += 1
-    stats.steps += 1
-    if other.needed:
-        net.queue.push(net, other)
-
-
-def delegate_step(net, parent):
-    """Propagate demand one level: mark the parent agent and enqueue it."""
-    parent.needed = True
-    net._window_ops += 1
-    net.queue.push(net, parent)
-    stats = net.stats
-    stats.delegations += 1
-    stats.steps += 1
+    if reads > net.stats.max_reads_per_step:
+        net.stats.max_reads_per_step = reads
+    # Until the climb stops, `up` is an agent, so each stop decides here.
+    return node is partner or up is q
 
 
 def process_entry(net, entry, *, strict_rules=False, budget_left=None,
                   describe=True):
-    """Process one popped queue entry.
+    """Process one popped queue entry: at most one step, counted here.
 
     Returns (outcome, detail). Counted outcomes are "interaction",
     "indirection", and "delegation"; everything else is bookkeeping:
-    "stale" (dead or already-classified entry), "plumb" (a demanded
-    root re-entered as its equation), "noop" (parent already needed),
-    "loop", "observable", "cyclic", "stuck" (no rule under strict
-    rules) and "budget" (the step budget is exhausted); the last two
-    push the entry back, so a later run resumes from it. The detail of
-    an indirection (the wire's name) and of a delegation (`A->B`) is
-    built only when `describe` is set, as `run` does when it traces;
-    otherwise it is None.
+    "stale" (a dead term node), "plumb" (a demanded root re-entered as
+    its equation), "noop" (parent already needed), "loop", "observable",
+    "cyclic", "stuck" (no rule under strict rules) and "budget" (the
+    step budget is exhausted); the last two push the entry back, so a
+    later run resumes from it. The detail of an indirection (the wire's
+    name) and of a delegation (`A->B`) is built only when `describe` is
+    set, as `run` does when it traces; otherwise it is None.
+
+    The entry is classified first, and bookkeeping returns there. A step
+    then passes the one budget check, adds one to `steps` and to its
+    kind's counter, and runs. An interaction fires the rule's kernel. An
+    indirection moves `other`, the non-wire side (the right side when
+    both are wires), into the partner's slot, found by searching its
+    owner's children (at most the largest arity; not a classifier read).
+    The equation and both halves die and drop their links, so they are
+    freed here, and a needed `other` re-enters the queue, since its
+    demand must climb from its new position. A delegation marks the
+    parent agent needed and enqueues it.
+
+    Only an equation's own pop kills or classifies it, and a classified
+    one is never pushed again, so a popped equation is live and
+    unclassified; in full mode no term node is queued.
     """
     if entry.__class__ is EquationNode:
-        if entry.children is None or entry.terminal is not None:
-            return "stale", None
         lhs, rhs = entry.children
         if lhs.__class__ is WireHalf:
             wire, other = lhs, rhs
         elif rhs.__class__ is WireHalf:
             wire, other = rhs, lhs
         else:
+            wire = None
             key = (lhs.symbol.id, rhs.symbol.id)
             try:
                 program = net.programs[key]
@@ -755,48 +727,58 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None,
                 net._window_ops += 1
                 net.stats.observable_terminals += 1
                 return "observable", None
-            if budget_left is not None and budget_left <= 0:
-                net.queue.push_front(entry)
-                return "budget", None
-            program.fire(net, entry, program.symbols)
-            return "interaction", program.label
-        kind = _classify_wire_equation(net, entry, wire)
-        if kind == "loop":
-            entry.children = lhs.partner = rhs.partner = None
-            net._window_ops += 3
-            net.stats.loops_removed += 1
-            return "loop", None
-        if kind == "cyclic":
-            entry.terminal = "cyclic"
-            net._window_ops += 1
-            net.stats.cyclic_equations += 1
-            return "cyclic", None
-        if budget_left is not None and budget_left <= 0:
-            net.queue.push_front(entry)
-            return "budget", None
-        indirect_step(net, entry, wire, other)
-        return "indirection", (wire.label or f"w{wire.pair_id}"
-                               if describe else None)
+        if wire is not None:
+            partner = wire.partner
+            if partner is other:
+                entry.children = lhs.partner = rhs.partner = None
+                net._window_ops += 3
+                net.stats.loops_removed += 1
+                return "loop", None
+            if _partner_inside(net, entry, partner, other):
+                entry.terminal = "cyclic"
+                net._window_ops += 1
+                net.stats.cyclic_equations += 1
+                return "cyclic", None
+    else:  # a term node
+        if entry.children is None:
+            return "stale", None
+        owner = entry.parent
+        if owner.__class__ is EquationNode:
+            # Queue plumbing, not a step: the demanded root is replaced by
+            # its equation. Classified terminals never re-enter.
+            if owner.terminal is None:
+                net.queue.push(net, owner)
+            return "plumb", None
+        if owner.needed:
+            return "noop", None
 
-    # Term node entry.
-    node = entry
-    if node.children is None or net.mode == FULL:
-        return "stale", None
-    owner = node.parent
-    if owner.__class__ is EquationNode:
-        # Queue plumbing, not a step: the demanded root is replaced by
-        # its equation. Classified terminals never re-enter.
-        if owner.children is not None and owner.terminal is None:
-            net.queue.push(net, owner)
-        return "plumb", None
-    if owner.needed:
-        return "noop", None
     if budget_left is not None and budget_left <= 0:
-        net.queue.push_front(node)
+        net.queue.push_front(entry)
         return "budget", None
-    delegate_step(net, owner)
-    return "delegation", (f"{node.symbol.name}->{owner.symbol.name}"
-                          if describe else None)
+    stats = net.stats
+    stats.steps += 1
+    if entry.__class__ is not EquationNode:
+        owner.needed = True
+        net._window_ops += 1
+        net.queue.push(net, owner)
+        stats.delegations += 1
+        return "delegation", (f"{entry.symbol.name}->{owner.symbol.name}"
+                              if describe else None)
+    if wire is None:
+        program.fire(net, entry, program.symbols)
+        stats.interactions += 1
+        return "interaction", program.label
+    owner = partner.parent
+    entry.children = wire.partner = partner.partner = None
+    owner.children[owner.children.index(partner)] = other
+    if other.__class__ is not AgentTerm:
+        other.parent = owner
+    net._window_ops += 4
+    stats.indirections += 1
+    if other.needed:
+        net.queue.push(net, other)
+    return "indirection", (wire.label or f"w{wire.pair_id}"
+                           if describe else None)
 
 
 # --- read-back ----------------------------------------------------------------
@@ -925,6 +907,14 @@ class _Auditor:
             queued.add(entry)
             if not entry.in_queue:
                 raise AuditError(f"{entry!r} queued without its in_queue flag")
+            # What lets `process_entry` skip a stale-equation check.
+            if entry.__class__ is not EquationNode:
+                if net.mode == FULL:
+                    raise AuditError(f"{entry!r} is queued in full mode")
+            elif entry.children is None:
+                raise AuditError("a dead equation is queued")
+            elif entry.terminal is not None:
+                raise AuditError(f"{entry!r} is queued but {entry.terminal}")
 
 
 def _check_held_term(term, owner, j, held):

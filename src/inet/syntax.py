@@ -161,7 +161,11 @@ class _Parser:
                     and vals[at + 2] == "/" and vals[at + 3][:1].isdigit()):
                 if name in self.agents:
                     self.error(at + 1, f"agent {name!r} declared twice")
-                self.agents[name] = self.signature.declare(name, int(vals[at + 3]))
+                try:
+                    arity = int(vals[at + 3])
+                except ValueError:  # more digits than `int` converts
+                    self.error(at + 3, "arity has too many digits")
+                self.agents[name] = self.signature.declare(name, arity)
 
     def parse_file(self) -> InteractionSystem:
         self.declare_agents()

@@ -16,6 +16,9 @@ from inet.fixtures import comb, delegation_chain, fixture_path, fixture_text
 
 OMEGA = str(fixture_path("omega"))
 ADD = str(fixture_path("add"))
+# A started interpreter imports the `inet` these tests import.
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture
@@ -244,6 +247,15 @@ def test_run_parse_error_exit_code(tmp_inet, capsys):
     assert "2:11" in err
 
 
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_huge_arity_is_one_line_and_exit_1(tmp_inet, capsys, command):
+    path = tmp_inet("agent A/" + "9" * 5000)
+    assert main([command, path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{path}:1:9: arity has too many digits\n"
+
+
 def test_run_empty_net_prints_nothing(tmp_inet, capsys):
     path = tmp_inet("net e {}")
     assert main(["run", path]) == 0
@@ -314,7 +326,7 @@ def test_bench_propagates_run_exit_codes(capsys):
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "inet", "run", OMEGA],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout == "!P = Alxx;\n"
@@ -326,7 +338,7 @@ def test_closed_output_pipe_exits_quietly(tmp_inet):
     path = tmp_inet(comb(40000))
     proc = subprocess.Popen(
         [sys.executable, "-m", "inet", "run", path, "--mode", "full"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
     )
     assert len(proc.stdout.read(5)) == 5
     proc.stdout.close()
@@ -350,6 +362,6 @@ def test_a_failed_write_is_one_line_and_exit_1(argv, where):
         stdout = subprocess.PIPE if where == "/dev/full" else full
         proc = subprocess.run([sys.executable, "-m", "inet", *argv],
                               stdout=stdout, stderr=subprocess.PIPE,
-                              text=True, timeout=60)
+                              text=True, timeout=60, env=CHILD_ENV)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [f"{where}: {os.strerror(errno.ENOSPC)}"]

@@ -20,6 +20,7 @@ from inet import (
     validate_system,
 )
 from inet.core import (
+    _match_terms,
     ARITY_MISMATCH,
     DUPLICATE_RULE,
     NAME_LINEARITY,
@@ -232,6 +233,9 @@ def test_configs_isomorphic_renaming_and_reordering():
     assert not configs_isomorphic(a, b, ordered=True)
     c = cfg(base + "net { Z = Add(r, r); S(Z) = Z; }")
     assert not configs_isomorphic(a, c)
+    longer = cfg(base + "net { Z = Add(r, n); S(Z) = n; Z = Z; }")
+    assert not configs_isomorphic(a, longer)
+    assert not configs_isomorphic(longer, a, ordered=True)
 
 
 def test_configs_isomorphic_side_flip_and_needed_marks():
@@ -251,6 +255,23 @@ def test_configs_isomorphic_respects_name_bijection():
     # Crossed wiring is a genuinely different net, not a renaming.
     crossed = cfg(base + "net { A(u, v) = B; A(v, u) = C; }")
     assert not configs_isomorphic(a, crossed)
+    # Nor may two names map to one.
+    merged = cfg(base + "net { A(u, u) = B; A(v, v) = C; }")
+    assert not configs_isomorphic(a, merged)
+    assert not configs_isomorphic(a, merged, ordered=True)
+
+
+def test_a_name_never_matches_an_agent():
+    # Equal shape keys put names and agents in the same places, so only a
+    # pairing with one equation's sides swapped meets a name against an
+    # agent; the search then tries the other pairing.
+    a = AgentTerm(AgentSymbol(0, "A", 0), [])
+    x = NameTerm("x")
+    assert not _match_terms(x, a, {}, {}, [])
+    assert not _match_terms(a, x, {}, {}, [])
+    base = "agent A/0\n"
+    assert configs_isomorphic(cfg(base + "net { x = A; A = x; }"),
+                              cfg(base + "net { A = y; y = A; }"))
 
 
 def test_configs_isomorphic_at_thousands_of_equations():
@@ -306,3 +327,39 @@ def test_deep_terms_compare_and_print_without_recursion():
           "needed=False)"
         + "], needed=False)" * depth
     )
+
+
+def test_agent_term_repr_with_names_and_several_arguments():
+    sig = Signature()
+    d, z = sig.declare("D", 2), sig.declare("Z", 0)
+    inner = AgentTerm(d, [AgentTerm(z, []), NameTerm("y")], True)
+    D = "AgentTerm(symbol=AgentSymbol(id=0, name='D', arity=2), args="
+    Z = ("AgentTerm(symbol=AgentSymbol(id=1, name='Z', arity=0), args=[], "
+         "needed=False)")
+    assert repr(AgentTerm(d, [NameTerm("x"), inner])) == (
+        D + "[NameTerm(name='x'), " + D + "[" + Z + ", NameTerm(name='y')], "
+        "needed=True)], needed=False)")
+    # Tuple args print as the dataclass would print them, inside a list too.
+    held = AgentTerm(d, (NameTerm("x"), AgentTerm(z, [])))
+    assert repr(held) == D + "(NameTerm(name='x'), " + Z + "), needed=False)"
+    assert repr(AgentTerm(d, [held, NameTerm("y")])) == (
+        D + "[" + repr(held) + ", NameTerm(name='y')], needed=False)")
+
+
+def test_agent_term_equality_with_tuple_args():
+    sig = Signature()
+    d, z = sig.declare("D", 2), sig.declare("Z", 0)
+
+    def held(name):
+        return AgentTerm(d, (NameTerm(name), AgentTerm(z, [])))
+
+    assert held("x") == held("x")
+    assert held("x") != held("y")
+    # A tuple never equals a list, as in the dataclass's own comparison.
+    assert held("x") != AgentTerm(d, [NameTerm("x"), AgentTerm(z, [])])
+
+    def outer(name):
+        return AgentTerm(d, [held(name), AgentTerm(z, [])])
+
+    assert outer("x") == outer("x")
+    assert outer("x") != outer("y")

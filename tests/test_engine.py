@@ -422,6 +422,21 @@ def test_interrupted_needed_run_can_still_continue_in_full_mode(omega_system):
     assert configs_isomorphic(continued.residual, scratch.residual)
 
 
+def test_shuffled_run_stopped_by_budget_continues_in_full_mode():
+    # The shuffled pops leave the queue a list; the FIFO pops that follow
+    # turn it back into a deque, in order.
+    system = parse(add_source(6, 5))
+    net = load(system, mode="full")
+    partial = run(net, EngineConfig(shuffle_seed=3, max_steps=8))
+    assert partial.status == "step_limit"
+    assert net.queue._items.__class__ is list and len(net.queue) == 2
+    continued = run(net, EngineConfig(mode="full", audit=True))
+    scratch = run(load(system, mode="full"), EngineConfig(mode="full"))
+    assert continued.status == scratch.status == "normal"
+    assert configs_isomorphic(continued.residual, scratch.residual)
+    assert continued.stats == scratch.stats
+
+
 def test_full_mode_cannot_go_back_to_needed(add_system):
     net = load(add_system, "one_plus_one", mode="full")
     with pytest.raises(ValueError):
@@ -915,6 +930,15 @@ def _corrupt(g, case):
         g.k.children[0] = g.a
     elif case == "name in a held side":
         g.eq1.children[1] = AgentTerm(g.s.symbol, [NameTerm("w")])
+    elif case == "dead equation queued":
+        dead = EquationNode(g.a, g.a)
+        dead.children = None
+        g.net.queue.push(g.net, dead)
+    elif case == "classified equation queued":
+        g.eq1.terminal = "cyclic"
+        g.net.queue.push(g.net, g.eq1)
+    elif case == "term node queued in full mode":
+        g.net.mode = "full"
 
 
 @pytest.mark.parametrize("case, message", [
@@ -933,6 +957,9 @@ def _corrupt(g, case):
     ("marker in a held term", "slot 0 of <!S> holds an input term with a `!`"),
     ("held term in two slots", "the input term in slot 0 of <!S> sits in two slots"),
     ("name in a held side", "holds an input term with the name 'w'"),
+    ("dead equation queued", "a dead equation is queued"),
+    ("classified equation queued", "<eq <S> = <wire y>> is queued but cyclic"),
+    ("term node queued in full mode", "<!S> is queued in full mode"),
 ])
 def test_audit_rejects_each_corruption(case, message):
     system = parse("agent A/0 agent S/1 agent K/2\n"

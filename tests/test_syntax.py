@@ -150,6 +150,8 @@ PARSE_ERRORS = [
      "3:1: duplicate anonymous net"),
     ("lone_gt", "agent A/0\nnet { A > A; }", "2:9: unexpected character '>'"),
     ("bad_arity", "agent A/x", "1:9: expected arity"),
+    ("huge_arity", "agent B/1\nagent A/" + "9" * 5000 + " net { B(x) = x; }",
+     "2:9: arity has too many digits"),
     ("eof_in_rule_side", "agent A/0 rule A[] >< A[",
      "1:25: expected agent or name, got 'end of input'"),
     ("missing_rule_operator", "agent A/0 rule A[] A[]", "1:20: expected '><', got 'A'"),
