@@ -22,7 +22,6 @@ from .core import (
     UnknownNetError,
     configs_isomorphic,
     format_term,
-    occurrence_count,
     validate_system,
 )
 from .engine import (
@@ -71,7 +70,6 @@ __all__ = [
     "format_system",
     "format_term",
     "load",
-    "occurrence_count",
     "parse",
     "process_entry",
     "readback",

@@ -83,15 +83,14 @@ class AgentSymbol:
     name: str
     arity: int
 
-    def __str__(self):
-        return f"{self.name}/{self.arity}"
-
 
 class Signature:
-    """Ordered collection of agent symbols; name lookup is injective."""
+    """Ordered collection of agent symbols; name lookup is injective.
+
+    `_by_name`, in declaration order, is the one table: it also gives
+    iteration, the count and the next id."""
 
     def __init__(self):
-        self.symbols: list[AgentSymbol] = []
         self._by_name: dict[str, AgentSymbol] = {}
 
     def declare(self, name: str, arity: int) -> AgentSymbol:
@@ -99,9 +98,7 @@ class Signature:
             raise ValueError(f"arity of {name!r} must be non-negative")
         if name in self._by_name:
             raise ValueError(f"agent {name!r} declared twice")
-        sym = AgentSymbol(len(self.symbols), name, arity)
-        self.symbols.append(sym)
-        self._by_name[name] = sym
+        sym = self._by_name[name] = AgentSymbol(len(self._by_name), name, arity)
         return sym
 
     def get(self, name: str) -> Optional[AgentSymbol]:
@@ -111,10 +108,10 @@ class Signature:
         return name in self._by_name
 
     def __iter__(self):
-        return iter(self.symbols)
+        return iter(self._by_name.values())
 
     def __len__(self):
-        return len(self.symbols)
+        return len(self._by_name)
 
 
 @dataclass(slots=True)
@@ -357,15 +354,6 @@ def iter_config_terms(config: Configuration) -> Iterator[Term]:
     for eq in config.equations:
         yield from iter_terms(eq.lhs)
         yield from iter_terms(eq.rhs)
-
-
-def occurrence_count(config: Configuration, name: str) -> int:
-    """Exact number of occurrences of `name` in the configuration."""
-    n = 0
-    for t in iter_config_terms(config):
-        if isinstance(t, NameTerm) and t.name == name:
-            n += 1
-    return n
 
 
 def _check_terms(roots, by_name, context, diags, counts, first_loc):
@@ -620,19 +608,18 @@ def _extend(eqs_a, eqs_b, order, pool, fwd, bwd, trail) -> bool:
     return False
 
 
-def configs_isomorphic(a: Configuration, b: Configuration, *,
-                       ordered: bool = False) -> bool:
+def configs_isomorphic(a: Configuration, b: Configuration) -> bool:
     """Structural equality modulo a bijective renaming of names.
 
-    With `ordered=False` (the default) the equations of `b` may appear
-    in any order; equation sides may always be flipped, since an
-    equation is an unordered connection of its two sides.
+    The equations of `b` may appear in any order, and equation sides may
+    be flipped, since an equation is an unordered connection of its two
+    sides.
 
-    Unordered, the equations are split into components linked by shared
-    names, and each component of `a` is matched against the unmatched
-    components of `b` with the same shapes. Isomorphism is an
-    equivalence, so the first component of `b` that matches can be kept
-    without loss: the search backtracks only inside one component.
+    The equations are split into components linked by shared names, and
+    each component of `a` is matched against the unmatched components
+    of `b` with the same shapes. Isomorphism is an equivalence, so the
+    first component of `b` that matches can be kept without loss: the
+    search backtracks only inside one component.
     """
     eqs_a, eqs_b = a.equations, b.equations
     if len(eqs_a) != len(eqs_b):
@@ -641,10 +628,6 @@ def configs_isomorphic(a: Configuration, b: Configuration, *,
         return True
     keys_a = [_shape_key(eq) for eq in eqs_a]
     keys_b = [_shape_key(eq) for eq in eqs_b]
-    if ordered:
-        return keys_a == keys_b and _extend(
-            eqs_a, eqs_b, range(len(eqs_a)), lambda i: [i], {}, {}, [])
-
     names_a = [_equation_names(eq) for eq in eqs_a]
     names_b = [_equation_names(eq) for eq in eqs_b]
     holders_b = _holders(names_b)

@@ -315,20 +315,21 @@ def instantiate(net, config):
     then builds the path's unbuilt nodes from the top down and places
     its own, so nodes, wires and needed markers come in preorder. Each
     wire keeps its name as a label, so user names survive to the
-    residual. Needed markers are dropped in full mode.
+    residual. Needed markers are dropped in full mode. The walk seeds the
+    queue in creation order: each needed node as it builds it in needed
+    mode, each equation as it creates it in full mode.
 
-    Returns (needed nodes created, passed). `passed` is False if a
-    term's symbol is not the very object the net's signature declares
-    under its name, a term's argument count is not its arity, or a name
-    does not occur exactly twice: so it is False whenever
-    `validate_system` reports the net, and also for an equal symbol that
-    is not the declared object.
+    Returns `passed`: False if a term's symbol is not the very object
+    the net's signature declares under its name, a term's argument count
+    is not its arity, or a name does not occur exactly twice. So it is
+    False whenever `validate_system` reports the net, and also for an
+    equal symbol that is not the declared object.
     """
     keep_needed = net.mode != FULL
+    enqueue = net.queue.push
     pair_id = net._pair_seq
     bindings = {}  # name -> the wire half awaiting its second occurrence
     counts = {}
-    needed_nodes = []
     passed = True
     declared = net.signature._by_name.get
     stack = []
@@ -340,6 +341,8 @@ def instantiate(net, config):
     for ast_eq in config.equations:
         eq = EquationNode(ast_eq.lhs, ast_eq.rhs)
         net.equations.append(eq)
+        if not keep_needed:
+            enqueue(net, eq)
         nodes = [eq]  # then the nodes built for a prefix of the path
         push((0, 1, ast_eq.rhs))
         push((0, 0, ast_eq.lhs))
@@ -376,7 +379,7 @@ def instantiate(net, config):
                     continue
                 node = AgentNode(sym, keep_needed, args)
                 if keep_needed:
-                    needed_nodes.append(node)
+                    enqueue(net, node)
             # Build the path's unbuilt nodes from the top down (none
             # holds a `!`: that one was built when the walk met it), then
             # place this node below the last; an agent's joins them.
@@ -393,7 +396,7 @@ def instantiate(net, config):
             if node.__class__ is AgentNode:
                 nodes.append(node)
     net._pair_seq = pair_id
-    return needed_nodes, passed and all(n == 2 for n in counts.values())
+    return passed and all(n == 2 for n in counts.values())
 
 
 @collector_paused
@@ -404,11 +407,11 @@ def load(system: InteractionSystem, net_name: Optional[str] = None,
     Needed mode enqueues every needed-marked node as initial demand;
     full mode drops all needed markers and enqueues every equation.
 
-    The loaded net is walked once (`instantiate`), which checks it and
-    builds only its open spine. The rules and the system's other nets
-    get `validate_system`'s own checks. If any check flags,
-    `validate_system` decides, so an invalid system raises its exact
-    diagnostics, also before an unknown net name.
+    The loaded net is walked once (`instantiate`), which checks it,
+    builds only its open spine and seeds the queue as it goes. The rules
+    and the system's other nets get `validate_system`'s own checks. If
+    any check flags, `validate_system` decides, so an invalid system
+    raises its exact diagnostics, also before an unknown net name.
     """
     if mode not in (NEEDED, FULL):
         raise ValueError(f"unknown mode {mode!r}")
@@ -421,15 +424,13 @@ def load(system: InteractionSystem, net_name: Optional[str] = None,
         raise
 
     net = RuntimeNet(system.signature, system.rules, mode)
-    needed_nodes, passed = instantiate(net, config)
+    passed = instantiate(net, config)
     if (not passed or rule_diagnostics(system)
             or any(net_diagnostics(system, name)
                    for name, other in system.nets.items() if other is not config)):
         diagnostics = validate_system(system)
         if diagnostics:
             raise InvalidSystemError(diagnostics)
-    for entry in needed_nodes if mode == NEEDED else net.equations:
-        net.queue.push(net, entry)
     net._window_ops = 0  # loading is not a step
     return net
 
@@ -790,10 +791,11 @@ def readback(net: RuntimeNet) -> Configuration:
     Equations appear in creation order. Wire pairs render as names:
     a wire loaded from the input keeps its user name, wires created by rule
     instantiation get n0, n1, ... in first-occurrence order (skipping
-    any surviving user name they would collide with). One walk builds
-    each side in left-to-right preorder, collects the user names it
-    meets and keeps each unlabelled pair's name terms; those are named
-    once the walk is done.
+    any surviving user name and any name the signature declares as an
+    agent, so the residual parses back with its declarations). One walk
+    builds each side in left-to-right preorder, collects the user names
+    it meets and keeps each unlabelled pair's name terms; those are
+    named once the walk is done.
 
     A held input term reads back as itself, and the walk does not enter
     it. So the residual shares held subterms with the input
@@ -801,7 +803,7 @@ def readback(net: RuntimeNet) -> Configuration:
     live graph, the open spine load built plus what steps made, not the
     size of the residual.
     """
-    taken = set()
+    taken = set(net.signature._by_name)
     unnamed: dict = {}  # pair id -> its name terms, in first-occurrence order
     equations = []
     for eq in net.live_equations():

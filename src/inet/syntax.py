@@ -114,7 +114,6 @@ class _Parser:
         # A new list of exactly its length: it outlives the scan.
         self.vals, self.starts = vals + ["", ""], starts
         self.signature = Signature()
-        self.agents = {}  # name -> AgentSymbol, filled by declare_agents
 
     def locate(self, offset):
         """The packed `Loc` of a text offset."""
@@ -159,13 +158,13 @@ class _Parser:
             name = vals[at + 1]
             if (name[:1] in _IDENT_START and name not in _KEYWORDS
                     and vals[at + 2] == "/" and vals[at + 3][:1].isdigit()):
-                if name in self.agents:
+                if name in self.signature:
                     self.error(at + 1, f"agent {name!r} declared twice")
                 try:
                     arity = int(vals[at + 3])
                 except ValueError:  # more digits than `int` converts
                     self.error(at + 3, "arity has too many digits")
-                self.agents[name] = self.signature.declare(name, arity)
+                self.signature.declare(name, arity)
 
     def parse_file(self) -> InteractionSystem:
         self.declare_agents()
@@ -199,7 +198,7 @@ class _Parser:
 
     def rule_side(self, i):
         name = self.ident(i, "agent name")
-        sym = self.agents.get(name)
+        sym = self.signature.get(name)
         if sym is None:
             self.error(i, f"rule head {name!r} is not a declared agent")
         i = self.expect(i + 1, "[")
@@ -238,8 +237,8 @@ class _Parser:
         list of the arguments before the last `,`; its `)` builds the
         term's list by concatenation, so it has exactly its length.
         """
-        vals, starts, line_ends, agents = (self.vals, self.starts,
-                                           self.line_ends, self.agents)
+        vals, starts, line_ends, agents = (self.vals, self.starts, self.line_ends,
+                                           self.signature._by_name)
         stack = []
         while True:
             token = vals[i]

@@ -73,6 +73,17 @@ def test_run_add_full_canon(capsys):
     assert out == "Res = S(S(Z));\n"
 
 
+def test_run_fresh_names_skip_declared_agent_names(tmp_inet, capsys):
+    path = tmp_inet("agent n0/0 agent A/2 agent B/0 agent C/1 agent D/1 "
+                    "agent X/0 agent Y/0\n"
+                    "rule A[C(x), D(x)] >< B[]\n"
+                    "net t { A(p, q) = B; X = p; Y = q; }")
+    assert main(["run", path, "--mode", "full"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "X = C(n1);\nY = D(n1);\n"
+    assert err == ""
+
+
 def test_run_is_byte_deterministic(capsys):
     main(["run", OMEGA, "--trace"])
     first = capsys.readouterr()
@@ -132,6 +143,13 @@ def test_negative_max_steps_is_rejected(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "--max-steps must be at least 0\n"
+
+
+def test_repeat_below_1_is_rejected(capsys):
+    assert main(["bench", OMEGA, "--repeat", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "--repeat must be at least 1\n"
 
 
 @pytest.mark.parametrize("argv", [

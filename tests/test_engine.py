@@ -323,7 +323,7 @@ def test_readback_names_fresh_wires_after_first_interaction(omega_system):
 def test_readback_is_inverse_of_load(omega_system, add_system):
     for system, name in ((omega_system, "omega"), (add_system, "one_plus_one")):
         net = load(system, name)
-        assert configs_isomorphic(readback(net), system.get_net(name), ordered=True)
+        assert configs_isomorphic(readback(net), system.get_net(name))
         # User names survive untouched wires exactly.
         assert format_config(readback(net)) == format_config(system.get_net(name))
 
@@ -480,8 +480,10 @@ def test_strict_stop_can_be_resumed():
 
 def test_self_loop_equation_is_removed_not_counted():
     system = parse("agent A/0\nnet l { x = x; A = A; }")
-    result = run(load(system, "l", mode="full"), EngineConfig(mode="full", audit=True))
+    net = load(system, "l", mode="full")
+    result = run(net, EngineConfig(mode="full", audit=True))
     assert result.status == "normal"
+    assert repr(net.equations[0]) == "<eq dead>"
     assert result.stats.loops_removed == 1
     assert result.stats.steps == 0
     assert result.stats.observable_terminals == 1  # A = A has no rule
@@ -1096,6 +1098,19 @@ def test_readback_skips_fresh_names_taken_by_surviving_user_names():
     assert format_config(rebuild_residual(net)) == text
     full = run(net, EngineConfig(mode="full"))
     assert format_config(full.residual) == format_config(rebuild_residual(net))
+
+
+def test_readback_skips_fresh_names_declared_as_agents():
+    declarations = ("agent n0/0 agent A/2 agent B/0 agent C/1 agent D/1 "
+                    "agent X/0 agent Y/0\n")
+    system = parse(declarations + "rule A[C(x), D(x)] >< B[]\n"
+                   "net t { A(p, q) = B; X = p; Y = q; }")
+    result = run(load(system, "t", mode="full"))
+    text = format_config(result.residual)
+    assert text == "X = C(n1);\nY = D(n1);"
+    # With the file's declarations, the residual parses back to itself.
+    reparsed = parse(declarations + "net r { " + text + " }").get_net("r")
+    assert configs_isomorphic(reparsed, result.residual)
 
 
 def test_readback_builds_only_the_terms_reduction_touched(monkeypatch):

@@ -5,12 +5,13 @@
 
 Generates WORKLOAD with `perfbench/workloads.py` (seed 1, at its large
 size unless `--size` is given) and runs once the pipeline that
-`perfbench/run.py` measures: parse -> validate -> load -> run -> format,
-with `inet` imported from this checkout's `src/`. Under `tracemalloc`,
-it prints for each layer in that order the peak of traced memory while
-the layer ran (`tracemalloc.reset_peak` before it), the memory still
-traced after it, and its transient, the peak less what was traced just
-before it, in MB. Peak and held include what the earlier layers still
+`perfbench/run.py` measures, through its own `pipeline` function:
+parse -> validate -> load -> run -> format, with `inet` imported from
+this checkout's `src/`. Under `tracemalloc`, it prints for each layer
+in that order the peak of traced memory while the layer ran
+(`tracemalloc.reset_peak` before it), the memory still traced after
+it, and its transient, the peak less what was traced just before it,
+in MB. Peak and held include what the earlier layers still
 hold, so the largest peak is the pipeline's `peak_mem_mb`, and the
 layer that reached it is printed as the one that sets the peak.
 
@@ -27,9 +28,10 @@ node counts agree; the alive equations also count the dead shells that
 The last stdout line is one JSON object: workload, size, the layers
 with their `peak_mb`, `held_mb` and `transient_mb`, `peak_layer` (the
 layer with the largest peak, the first one on a tie), `terms` (the terms of the parsed
-input, in its rules and nets), `parse_bytes_per_term` (the bytes parse
-still holds divided by `terms`), and the `alive` and `reachable` counts
-by class. Exits 1 if the pipeline's output is wrong.
+input, in its rules and nets, counted on a parse made outside tracing),
+`parse_bytes_per_term` (the bytes parse still holds divided by `terms`),
+and the `alive` and `reachable` counts by class. Exits 1 if the
+pipeline's output is wrong, as `perfbench/run.py` judges it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import inet  # noqa: E402
+import run as bench  # noqa: E402  (perfbench/run.py)
 import workloads  # noqa: E402
 
 
@@ -90,37 +93,32 @@ def layer_memory(work):
     """(rows, terms, alive, reachable) of one pipeline run of `work`.
 
     `rows` is [(layer, peak bytes, held bytes, transient bytes)]; `terms`
-    counts the
-    parsed input's terms; `alive` and `reachable` count the engine objects
-    left after the run (see the module doc).
+    counts the parsed input's terms; `alive` and `reachable` count the
+    engine objects left after the run (see the module doc).
     """
     rows = []
 
     def layer(name, fn, *args, **kwargs):
+        """`pipeline`'s `call`: `syntax.parse` is the row `parse`, and so on."""
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         out = fn(*args, **kwargs)
         held, peak = tracemalloc.get_traced_memory()
-        rows.append((name, peak, held, peak - before))
+        rows.append((name.partition(".")[2], peak, held, peak - before))
         return out
 
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
-        system = layer("parse", inet.parse, work.source)
-        diagnostics = layer("validate", inet.validate_system, system)
-        net = layer("load", inet.engine.load, system, work.net, mode=work.mode)
-        result = layer("run", inet.engine.run, net,
-                       inet.engine.EngineConfig(mode=work.mode))
-        text = layer("format", inet.format_config, result.residual, canon=True)
+        net, result, text = bench.pipeline(inet, work, layer)
         counts = alive(), reachable(net)
     finally:
         tracemalloc.stop()
         gc.enable()
-    if diagnostics or text != work.expected_text:
+    if not bench.correct(work, result, text):
         raise SystemExit(f"mem_layers: {work.name} gave a wrong result")
-    return (rows, term_count(system), *counts)
+    return (rows, term_count(inet.parse(work.source)), *counts)
 
 
 def main(argv=None):
