@@ -84,7 +84,7 @@ def _load_net(args):
     return system, net_name, net
 
 
-def _engine_config(args, trace=False):
+def _engine_config(args, trace=None):
     """The run's config; its mode is None, so the run keeps the net's mode."""
     return engine.EngineConfig(
         max_steps=args.max_steps,
@@ -111,17 +111,14 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         _err(f"{args.stats}: {exc.strerror or exc}")
         return 1
-    result = engine.run(net, _engine_config(args, trace=args.trace))
-    if args.trace:
-        for line in result.trace:
-            print(line, file=sys.stderr)
+    result = engine.run(net, _engine_config(args, _err if args.trace else None))
     text = format_config(result.residual, canon=args.canon)
     if text:
         print(text)
     if stats_out is not None:
         try:
             with stats_out:
-                stats_out.write(stats_json(result.stats, result) + "\n")
+                stats_out.write(stats_json(result) + "\n")
         except OSError as exc:
             _err(f"{args.stats}: {exc.strerror or exc}")
             return 1

@@ -350,12 +350,6 @@ def format_term(term: Term, rename: Optional[dict] = None) -> str:
     return "".join(parts)
 
 
-def iter_config_terms(config: Configuration) -> Iterator[Term]:
-    for eq in config.equations:
-        yield from iter_terms(eq.lhs)
-        yield from iter_terms(eq.rhs)
-
-
 def _check_terms(roots, by_name, context, diags, counts, first_loc):
     """One walk over the terms below `roots`, in left-to-right preorder.
 

@@ -31,22 +31,23 @@ equations) and performs one of three counted steps:
 Each step's mutation footprint is local (one equation, its roots, one
 rule instance, one wire partner), which is what keeps the per-step cost
 independent of configuration size. `process_entry` is the one routine
-for a pop: it classifies the entry, checks the step budget once, counts
-the step and its kind in `Stats`, and then performs the step. A step
-writes the graph itself and adds its fixed mutation count once, plus
-one per enqueue. An interaction calls a straight-line kernel: `compile_rule`
-builds a rule's program once per ordered symbol pair per net (cached in
-`RuntimeNet.programs`), and the kernel it holds is generated once per
-process for each rule shape, the rule's creation sequence with its
-symbols left out. The kernel makes one equation, agent or wire pair per
-template occurrence, in locals, so an interaction's cost is its
-program's `ops` plus its enqueues. Each pop dispatches on the entry's
-exact class and builds no trace text unless the run traces.
-Classifying a wire equation also reads the graph: it runs a climb from
-the wire's partner and a walk through the other side in lock step, so
-its reads are bounded by the smaller of the two. Both costs are gauged
-per pop: mutations in `max_ops_per_step`, classifier reads in
-`max_reads_per_step`.
+for a pop, and it reads the run's `EngineConfig`: it classifies the
+entry, checks the step budget once, counts the step and its kind in
+`Stats`, and then performs the step. A step writes the graph itself and
+adds its fixed mutation count once, plus one per enqueue. An interaction
+calls a straight-line kernel: `compile_rule` builds a rule's program
+once per ordered symbol pair per net (cached in `RuntimeNet.programs`),
+and the kernel it holds is generated once per process for each rule
+shape, the rule's creation sequence with its symbols left out. The
+kernel makes one equation, agent or wire pair per template occurrence,
+in locals, so an interaction's cost is its program's `ops` plus its
+enqueues. Each pop dispatches on the entry's exact class and builds no
+trace text unless the run traces; a traced run hands each step's line to
+its sink as the step ends and keeps none. Classifying a wire equation
+also reads the graph: it runs a climb from the wire's partner and a walk
+through the other side in lock step, so its reads are bounded by the
+smaller of the two. Both costs are gauged per pop: mutations in
+`max_ops_per_step`, classifier reads in `max_reads_per_step`.
 
 In `full` mode the queue holds every equation, needed markers are
 ignored, and reduction runs to full normal form; it serves as the
@@ -70,7 +71,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import (
     AgentTerm,
@@ -181,11 +182,17 @@ class Stats:
 
 @dataclass
 class EngineConfig:
+    """The settings of one `run`, which `process_entry` reads too.
+
+    `trace` is None or a sink that `run` calls with each counted step's
+    line, `POP<TAB>KIND<TAB>DETAIL`, as soon as the step is done.
+    """
+
     mode: Optional[str] = None  # None inherits the net's mode
     max_steps: Optional[int] = None
     shuffle_seed: Optional[int] = None
     strict_rules: bool = False
-    trace: bool = False
+    trace: Optional[Callable[[str], object]] = None
     audit: bool = False
 
 
@@ -196,7 +203,6 @@ class RunResult:
     residual: Configuration
     mode: str
     stuck_pair: Optional[tuple] = None
-    trace: Optional[list] = None
 
 
 class _Queue:
@@ -431,7 +437,6 @@ def load(system: InteractionSystem, net_name: Optional[str] = None,
         diagnostics = validate_system(system)
         if diagnostics:
             raise InvalidSystemError(diagnostics)
-    net._window_ops = 0  # loading is not a step
     return net
 
 
@@ -644,8 +649,10 @@ def _partner_inside(net, q, partner, other):
     a walk down through `other` (inside if it meets the partner, not if
     it runs out of nodes) and a climb up the partner's parent links
     (inside if it reaches `q`, not if it reaches any other equation).
-    Reads are therefore bounded by the smaller of the other side's size
-    and the partner's depth. An interaction equates each old argument
+    With `size` the nodes, wires and held subterms of `other` and `depth`
+    the partner's parent hops to its equation, a call reads at most
+    min(2 * size - 1, 2 * depth), exactly that if the partner is outside.
+    An interaction equates each old argument
     with a fresh template instance, so for the equations it makes one of
     the two is usually bounded by the rule's size. Each subtree node
     visited and each parent hop counts one read toward
@@ -676,8 +683,7 @@ def _partner_inside(net, q, partner, other):
     return node is partner or up is q
 
 
-def process_entry(net, entry, *, strict_rules=False, budget_left=None,
-                  describe=True):
+def process_entry(net, entry, config):
     """Process one popped queue entry: at most one step, counted here.
 
     Returns (outcome, detail). Counted outcomes are "interaction",
@@ -686,13 +692,15 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None,
     its equation), "noop" (parent already needed), "loop", "observable",
     "cyclic", "stuck" (no rule under strict rules) and "budget" (the
     step budget is exhausted); the last two push the entry back, so a
-    later run resumes from it. The detail of an indirection (the wire's
-    name) and of a delegation (`A->B`) is built only when `describe` is
-    set, as `run` does when it traces; otherwise it is None.
+    later run resumes from it. `config` is the run's `EngineConfig`:
+    "stuck" needs its `strict_rules`, and the detail of an indirection
+    (the wire's name) and of a delegation (`A->B`) is built only when its
+    `trace` is set; otherwise it is None.
 
     The entry is classified first, and bookkeeping returns there. A step
-    then passes the one budget check, adds one to `steps` and to its
-    kind's counter, and runs. An interaction fires the rule's kernel. An
+    then passes the one budget check (no step once `steps` has reached
+    `config.max_steps`), adds one to `steps` and to its kind's counter,
+    and runs. An interaction fires the rule's kernel. An
     indirection moves `other`, the non-wire side (the right side when
     both are wires), into the partner's slot, found by searching its
     owner's children (at most the largest arity; not a classifier read).
@@ -721,7 +729,7 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None,
                 program = net.programs[key] = (
                     None if found is None else compile_rule(*found))
             if program is None:
-                if strict_rules:
+                if config.strict_rules:
                     net.queue.push_front(entry)
                     return "stuck", (lhs.symbol.name, rhs.symbol.name)
                 entry.terminal = "observable"
@@ -753,10 +761,10 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None,
         if owner.needed:
             return "noop", None
 
-    if budget_left is not None and budget_left <= 0:
+    stats = net.stats
+    if config.max_steps is not None and stats.steps >= config.max_steps:
         net.queue.push_front(entry)
         return "budget", None
-    stats = net.stats
     stats.steps += 1
     if entry.__class__ is not EquationNode:
         owner.needed = True
@@ -764,7 +772,7 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None,
         net.queue.push(net, owner)
         stats.delegations += 1
         return "delegation", (f"{entry.symbol.name}->{owner.symbol.name}"
-                              if describe else None)
+                              if config.trace is not None else None)
     if wire is None:
         program.fire(net, entry, program.symbols)
         stats.interactions += 1
@@ -779,7 +787,7 @@ def process_entry(net, entry, *, strict_rules=False, budget_left=None,
     if other.needed:
         net.queue.push(net, other)
     return "indirection", (wire.label or f"w{wire.pair_id}"
-                           if describe else None)
+                           if config.trace is not None else None)
 
 
 # --- read-back ----------------------------------------------------------------
@@ -969,7 +977,9 @@ def run(net: RuntimeNet, config: Optional[EngineConfig] = None) -> RunResult:
     Deterministic for a fixed (input, mode, shuffle_seed): the default
     discipline is FIFO; a shuffle seed switches to seeded uniform-random
     pops. Stats accumulate on the net across successive runs (e.g. a
-    needed-mode run continued in full mode).
+    needed-mode run continued in full mode), and `max_steps` bounds
+    their `steps`. A `trace` sink gets each counted step's line as soon
+    as the step is done, so an interrupted run has traced every step.
     """
     cfg = config or EngineConfig()
     if cfg.mode is not None and cfg.mode != net.mode:
@@ -978,27 +988,20 @@ def run(net: RuntimeNet, config: Optional[EngineConfig] = None) -> RunResult:
         else:
             raise ValueError(f"cannot switch a {net.mode}-mode net to {cfg.mode!r}")
     rng = random.Random(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
-    trace_lines = [] if cfg.trace else None
-    describe = cfg.trace
+    trace = cfg.trace
     auditor = _Auditor(net) if cfg.audit else None
 
-    max_steps = cfg.max_steps
-    strict_rules = cfg.strict_rules
     pop = net.queue.pop
     stats = net.stats
     status = "normal"
     stuck_pair = None
     while True:
-        budget_left = None if max_steps is None else max_steps - stats.steps
         entry = pop(rng)
         if entry is None:
             break
         net.pop_count += 1
         net._window_ops = 0
-        outcome, detail = process_entry(
-            net, entry, strict_rules=strict_rules, budget_left=budget_left,
-            describe=describe,
-        )
+        outcome, detail = process_entry(net, entry, config=cfg)
         if net._window_ops > stats.max_ops_per_step:
             stats.max_ops_per_step = net._window_ops
         if outcome == "budget":
@@ -1008,8 +1011,8 @@ def run(net: RuntimeNet, config: Optional[EngineConfig] = None) -> RunResult:
             status = "stuck"
             stuck_pair = detail
             break
-        if trace_lines is not None and outcome in _COUNTED:
-            trace_lines.append(f"{net.pop_count}\t{outcome}\t{detail}")
+        if trace is not None and outcome in _COUNTED:
+            trace(f"{net.pop_count}\t{outcome}\t{detail}")
         if auditor is not None:
             auditor.check()
 
@@ -1019,5 +1022,4 @@ def run(net: RuntimeNet, config: Optional[EngineConfig] = None) -> RunResult:
         residual=readback(net),
         mode=net.mode,
         stuck_pair=stuck_pair,
-        trace=trace_lines,
     )

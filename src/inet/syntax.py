@@ -352,8 +352,8 @@ def format_system(system: InteractionSystem) -> str:
 
 # --- machine-readable run summary -------------------------------------------
 
-def stats_json(stats, result) -> str:
+def stats_json(result) -> str:
     """One JSON object: `mode`, `status`, then the `Stats` fields in order."""
     payload = {"mode": result.mode, "status": result.status,
-               **dataclasses.asdict(stats)}
+               **dataclasses.asdict(result.stats)}
     return json.dumps(payload, separators=(",", ":"))

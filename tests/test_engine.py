@@ -31,7 +31,7 @@ from inet import (
     readback,
     run,
 )
-from inet.core import AgentSymbol, iter_config_terms
+from inet.core import AgentSymbol, iter_terms
 from inet.engine import AgentNode, AuditError, EquationNode, WireHalf, _Auditor
 from inet.fixtures import comb, deep_splice, delegation_chain, fixture_text
 from test_cli_golden import MIX, SOURCES
@@ -39,8 +39,14 @@ from test_collector import add_source
 from test_properties import make_case
 
 
+def config_terms(config):
+    """Every term of a configuration, each side in preorder."""
+    return (t for eq in config.equations for side in (eq.lhs, eq.rhs)
+            for t in iter_terms(side))
+
+
 def count_ast_agents(config):
-    return sum(1 for t in iter_config_terms(config) if isinstance(t, AgentTerm))
+    return sum(1 for t in config_terms(config) if isinstance(t, AgentTerm))
 
 
 def live_nodes(net):
@@ -135,7 +141,7 @@ def test_load_run_and_drop_leave_the_input_unchanged(mode):
         # Input terms have slots and no `__dict__`, so a stray write such
         # as `.parent` on a held term raises inside the run instead of
         # adding an attribute that printing cannot show.
-        assert not any(hasattr(t, "__dict__") for t in iter_config_terms(config))
+        assert not any(hasattr(t, "__dict__") for t in config_terms(config))
         net = load(system, name, mode=mode)
         result = run(net, EngineConfig(max_steps=2000, audit=True))
         if mode == "needed":
@@ -194,7 +200,7 @@ def test_no_dead_node_outlives_its_step():
         for source in stepped:
             net = load(parse(source), mode="full")
             while net.queue:
-                process_entry(net, net.queue.pop())
+                process_entry(net, net.queue.pop(), EngineConfig())
                 census(net)
             assert net.stats.indirections > 0
     finally:
@@ -288,17 +294,18 @@ def test_load_validates_only_after_its_own_check_flags(monkeypatch):
 def test_process_entry_delegation_then_plumbing(omega_system):
     net = load(omega_system, "omega")
     p_node = net.queue.pop()
-    outcome, detail = process_entry(net, p_node)
+    traced = EngineConfig(trace=[].append)
+    outcome, detail = process_entry(net, p_node, traced)
     assert (outcome, detail) == ("delegation", "P->R0")
     assert net.stats.delegations == 1 and net.stats.steps == 1
     # Re-demanding a node whose parent is already marked is a no-op.
     net.queue.push(net, p_node)
     r0 = net.queue.pop()
     assert r0.symbol.name == "R0" and r0.needed
-    outcome, detail = process_entry(net, r0)
+    outcome, detail = process_entry(net, r0, traced)
     assert outcome == "plumb"
     assert net.stats.steps == 1  # plumbing is not a step
-    outcome, _ = process_entry(net, net.queue.pop())
+    outcome, _ = process_entry(net, net.queue.pop(), traced)
     assert outcome == "noop"
     assert net.stats.delegations == 1
 
@@ -348,14 +355,15 @@ OMEGA_TRACE = [
 
 def test_omega_needed_run_golden(omega_system):
     net = load(omega_system, "omega")
-    result = run(net, EngineConfig(trace=True, audit=True))
+    lines = []
+    result = run(net, EngineConfig(trace=lines.append, audit=True))
     assert result.status == "normal"
     stats = result.stats
     assert (stats.interactions, stats.indirections, stats.delegations) == (5, 4, 5)
     assert stats.steps == 14
     assert stats.observable_terminals == 1
     assert format_config(result.residual) == "!P = Alxx;"
-    assert result.trace == OMEGA_TRACE
+    assert lines == OMEGA_TRACE
 
 
 def test_omega_full_run(omega_system):
@@ -374,11 +382,12 @@ ADD_NEEDED_RESIDUAL = "net r { !Res = S(n0); Z = Add(n0, n1); S(Z) = n1; }"
 
 def test_add_needed_run_golden(add_system):
     net = load(add_system, "one_plus_one")
-    result = run(net, EngineConfig(trace=True, audit=True))
+    lines = []
+    result = run(net, EngineConfig(trace=lines.append, audit=True))
     assert result.status == "normal"
     stats = result.stats
     assert (stats.interactions, stats.indirections, stats.delegations) == (1, 1, 1)
-    assert result.trace == [
+    assert lines == [
         "2\tindirection\tx",
         "3\tdelegation\tRes->Add",
         "5\tinteraction\tS><Add",
@@ -525,12 +534,13 @@ def test_needed_rule_templates_inject_demand():
         "rule C[] >< D[]\n"
         "net m { !A(x) = B; x = D; }"
     )
-    result = run(load(system, "m"), EngineConfig(trace=True, audit=True))
+    lines = []
+    result = run(load(system, "m"), EngineConfig(trace=lines.append, audit=True))
     assert result.status == "normal"
     stats = result.stats
     assert (stats.interactions, stats.indirections, stats.delegations) == (2, 1, 0)
     assert format_config(result.residual) == ""
-    assert [line.split("\t")[1] for line in result.trace] == [
+    assert [line.split("\t")[1] for line in lines] == [
         "interaction", "indirection", "interaction",
     ]
 
@@ -567,11 +577,12 @@ def test_each_rule_fires_in_both_orientations(key, index, flipped):
     source = (rules + f"agent W/{len(args)} agent L/0\n"
               f"net f {{ {roots[0]} = {roots[1]}; {outer} = L; }}\n")
     system = parse(source)
+    lines = []
     result = run(load(system, "f", mode="full"),
-                 EngineConfig(mode="full", trace=True, audit=True))
+                 EngineConfig(mode="full", trace=lines.append, audit=True))
     assert result.status == "normal"
     label = "><".join(root.split("(")[0] for root in roots)
-    assert result.trace[0].split("\t")[1:] == ["interaction", label]
+    assert lines[0].split("\t")[1:] == ["interaction", label]
     expected = reduce_full(system, system.get_net("f"))
     assert configs_isomorphic(result.residual, expected)
 
@@ -808,11 +819,53 @@ def test_deep_chain_runs_without_recursion(omega_system):
 
 
 def test_shuffled_run_is_reproducible_per_seed(omega_system):
-    first = run(load(omega_system, "omega"), EngineConfig(shuffle_seed=9, trace=True))
-    second = run(load(omega_system, "omega"), EngineConfig(shuffle_seed=9, trace=True))
-    assert first.trace == second.trace
+    first_lines, second_lines = [], []
+    first = run(load(omega_system, "omega"),
+                EngineConfig(shuffle_seed=9, trace=first_lines.append))
+    second = run(load(omega_system, "omega"),
+                 EngineConfig(shuffle_seed=9, trace=second_lines.append))
+    assert first_lines == second_lines
     assert first.stats == second.stats
     assert format_config(first.residual) == format_config(second.residual)
+
+
+def _traced_run(net, **settings):
+    """(result, trace lines) of a run whose sink checks each line streams:
+    when a line arrives, the step it records is the last one counted."""
+    lines = []
+    steps_before = net.stats.steps
+
+    def sink(line):
+        assert net.stats.steps == steps_before + len(lines) + 1
+        lines.append(line)
+
+    return run(net, EngineConfig(trace=sink, **settings)), lines
+
+
+@pytest.mark.parametrize("mode", ["needed", "full"])
+def test_a_stopped_run_streams_the_trace_head_and_a_continued_one_the_rest(mode):
+    systems = [parse(source) for source in SOURCES.values()]
+    systems += [make_case(seed) for seed in range(40)]
+    stops = 0
+    for system in systems:
+        name = system.default_net_name()
+        # 2000 caps the random nets that diverge; a continued run stops
+        # at the same count, since the budget counts the net's steps.
+        whole, full = _traced_run(load(system, name, mode=mode), max_steps=2000)
+        total = whole.stats.steps
+        for k in sorted({0, 1, total // 2, total - 1} & set(range(total))):
+            net = load(system, name, mode=mode)
+            stopped, head = _traced_run(net, max_steps=k)
+            assert stopped.status == "step_limit"
+            assert head == full[:k]
+            resumed, rest = _traced_run(net, max_steps=2000)
+            # The pop that met the budget pushed its entry back, so each
+            # later pop comes one ordinal after its uninterrupted twin.
+            assert rest == [f"{int(pop) + 1}\t{step}" for pop, step in
+                            (line.split("\t", 1) for line in full[k:])]
+            assert (resumed.status, resumed.stats) == (whole.status, whole.stats)
+            stops += 1
+    assert stops > 100
 
 
 def test_instantiated_wires_link_across_rule_sides(omega_system):
@@ -1044,7 +1097,7 @@ def rebuild_residual(net):
 
 def with_n_names(system):
     """`system` with each user name `uK` of its nets renamed `nK`."""
-    for t in iter_config_terms(system.get_net("r")):
+    for t in config_terms(system.get_net("r")):
         if isinstance(t, NameTerm):
             t.name = "n" + t.name[1:]
     return system

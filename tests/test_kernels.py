@@ -40,20 +40,22 @@ LOCALS = {"Z": "g0", "S": "S0", "Add": "pid", "Res": "p", "Out": "x",
 
 
 def _run(source, mode, shuffle_seed):
+    """(system, result, trace lines) of an audited run of net `t`."""
     system = parse(source)
+    lines = []
     result = run(load(system, "t", mode=mode),
-                 EngineConfig(mode=mode, shuffle_seed=shuffle_seed, trace=True,
-                              audit=True))
+                 EngineConfig(mode=mode, shuffle_seed=shuffle_seed,
+                              trace=lines.append, audit=True))
     assert result.status == "normal"
-    return system, result
+    return system, result, lines
 
 
 @pytest.mark.parametrize("shuffle_seed", [None, 1])
 @pytest.mark.parametrize("mode", ["needed", "full"])
 def test_agents_named_like_kernel_locals_fire_as_plain_ones(mode, shuffle_seed):
-    _, plain = _run(TEMPLATE.format(**PLAIN), mode, shuffle_seed)
-    system, named = _run(TEMPLATE.format(**LOCALS), mode, shuffle_seed)
-    labels = {line.split("\t")[2] for line in named.trace
+    _, plain, _ = _run(TEMPLATE.format(**PLAIN), mode, shuffle_seed)
+    system, named, lines = _run(TEMPLATE.format(**LOCALS), mode, shuffle_seed)
+    labels = {line.split("\t")[2] for line in lines
               if line.split("\t")[1] == "interaction"}
     assert {"S0><pid", "pid><S0"} <= labels
     assert named.stats == plain.stats

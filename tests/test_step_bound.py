@@ -99,3 +99,54 @@ def test_every_rule_reaches_its_bound(key):
             assert result.stats.max_ops_per_step == rule_bound(rule), (lhs, rhs)
             reached.append(result.stats.max_ops_per_step)
     assert max(reached) == step_bound(parse(rules))
+
+
+def _side_and_depth(partner, other):
+    """(size of `other`, depth of `partner`, whether `other` holds it).
+
+    The size counts the side's agent nodes, wire halves and held input
+    terms with their subterms; the depth counts the parent hops from the
+    partner to its equation.
+    """
+    size, inside, stack = 0, False, [other]
+    while stack:
+        node = stack.pop()
+        size += 1
+        inside = inside or node is partner
+        if isinstance(node, engine.AgentNode):
+            stack += node.children
+        elif isinstance(node, AgentTerm):
+            stack += node.args
+    depth, up = 1, partner.parent
+    while isinstance(up, engine.AgentNode):
+        depth, up = depth + 1, up.parent
+    return size, depth, inside
+
+
+def test_no_classifier_call_reads_past_its_lock_step_bound(monkeypatch):
+    # The walk down `other` and the climb from the partner alternate, one
+    # read each, so a call reads at most 2 * size - 1 (the walk runs out
+    # or meets the partner) or 2 * depth (the climb reaches an equation),
+    # and exactly the smaller when the partner is outside the side.
+    inner = engine._partner_inside
+    decided_by = {"walk": 0, "climb": 0}
+
+    def checked(net, q, partner, other):
+        size, depth, inside = _side_and_depth(partner, other)
+        stats = net.stats
+        before, stats.max_reads_per_step = stats.max_reads_per_step, 0
+        answer = inner(net, q, partner, other)
+        reads = stats.max_reads_per_step
+        stats.max_reads_per_step = max(before, reads)
+        bound = min(2 * size - 1, 2 * depth)
+        assert answer == inside
+        assert reads == bound if not inside else reads <= bound
+        decided_by["walk" if reads == 2 * size - 1 else "climb"] += 1
+        return answer
+
+    monkeypatch.setattr(engine, "_partner_inside", checked)
+    systems = [parse(source) for source in NETS.values()]
+    systems += [make_case(seed) for seed in range(200)]
+    for system in systems:
+        _runs(system)
+    assert decided_by["walk"] > 0 and decided_by["climb"] > 0

@@ -26,7 +26,6 @@ from inet.core import (
     Diagnostic,
     Equation,
     InteractionSystem,
-    iter_config_terms,
     iter_terms,
     NameTerm,
     NEEDED_ON_NAME,
@@ -265,9 +264,9 @@ def agent_terms(system):
     """Every agent term of a parsed system: rule templates and net sides."""
     roots = [t for rule in system.rules for side in (rule.left, rule.right)
              for t in side.templates]
+    roots += (side for config in system.nets.values() for eq in config.equations
+              for side in (eq.lhs, eq.rhs))
     terms = [t for root in roots for t in iter_terms(root)]
-    terms += (t for config in system.nets.values()
-              for t in iter_config_terms(config))
     return [t for t in terms if isinstance(t, AgentTerm)]
 
 
@@ -478,7 +477,7 @@ def test_canonical_printing_is_deterministic(add_system):
 
 def test_stats_json_schema_keys_and_values(omega_system):
     result = run(load(omega_system, "omega"))
-    text = stats_json(result.stats, result)
+    text = stats_json(result)
     payload = json.loads(text)
     assert list(payload) == [
         "mode", "status", "interactions", "indirections", "delegations",
@@ -495,7 +494,7 @@ def test_stats_json_schema_keys_and_values(omega_system):
 def test_stats_json_empty_net():
     system = parse("net e {}")
     result = run(load(system, "e"))
-    payload = json.loads(stats_json(result.stats, result))
+    payload = json.loads(stats_json(result))
     assert payload["status"] == "normal"
     for key in ("interactions", "indirections", "delegations", "steps",
                 "loops_removed", "cyclic_equations", "observable_terminals",
@@ -505,6 +504,6 @@ def test_stats_json_empty_net():
 
 def test_stats_json_add_needed(add_system):
     result = run(load(add_system, "one_plus_one"), EngineConfig())
-    payload = json.loads(stats_json(result.stats, result))
+    payload = json.loads(stats_json(result))
     assert (payload["interactions"], payload["indirections"],
             payload["delegations"]) == (1, 1, 1)

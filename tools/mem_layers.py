@@ -73,11 +73,11 @@ def reachable(net):
 
 def term_count(system):
     """Terms of a system: those of its rule templates and of its nets."""
-    templates = [t for rule in system.rules for side in (rule.left, rule.right)
-                 for t in side.templates]
-    return (sum(1 for root in templates for _ in inet.core.iter_terms(root))
-            + sum(1 for config in system.nets.values()
-                  for _ in inet.core.iter_config_terms(config)))
+    roots = [t for rule in system.rules for side in (rule.left, rule.right)
+             for t in side.templates]
+    roots += (side for config in system.nets.values() for eq in config.equations
+              for side in (eq.lhs, eq.rhs))
+    return sum(1 for root in roots for _ in inet.core.iter_terms(root))
 
 
 def alive():
