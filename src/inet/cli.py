@@ -104,6 +104,7 @@ def _cmd_run(args) -> int:
     if loaded is None:
         return 1
     net = loaded[2]
+    del loaded  # the parsed input: the net shares only its held terms
     # Open the stats file before reducing, so a bad path fails fast and
     # leaves stdout empty.
     try:
@@ -112,7 +113,8 @@ def _cmd_run(args) -> int:
         _err(f"{args.stats}: {exc.strerror or exc}")
         return 1
     result = engine.run(net, _engine_config(args, _err if args.trace else None))
-    text = format_config(result.residual, canon=args.canon)
+    text = format_config(result.residual, canon=args.canon,
+                         signature=net.signature)
     if text:
         print(text)
     if stats_out is not None:

@@ -316,38 +316,84 @@ def iter_terms(root: Term) -> Iterator[Term]:
             stack.extend(reversed(t.args))
 
 
+# The printer joins its parts into one chunk string whenever this many
+# have gathered, so its scratch beside the text it returns stays bounded.
+_CHUNK_PARTS = 1024
+
+
 def format_term(term: Term, rename: Optional[dict] = None) -> str:
     """Render a term; arity-0 agents print bare, `!` prefixes needed agents.
 
-    With `rename`, each name prints as `rename[name]`.
+    With `rename`, each name prints as `rename[name]`. The text is built
+    as `format_items` builds it, so it costs about its own size in
+    scratch, whatever the term's depth.
     """
+    return format_items((term,), rename)
+
+
+def format_items(items, rename: Optional[dict] = None) -> str:
+    """The text of `items`, terms and literal strings, one after another.
+
+    The one printer of terms, for `format_term` and for
+    `syntax.format_config`. One loop prints an opened term's first
+    argument next and keeps the rest on a stack, each after its `, `;
+    `close` counts the `)` closers due after the current item, and the
+    closers due after a later argument wait below it as one count. Parts
+    are joined into a chunk string each time `_CHUNK_PARTS` have
+    gathered, checked before each item and where a term opens, so the
+    scratch is the chunks, about the text's size, and one bounded list.
+    """
+    chunks = []
     parts = []
     emit = parts.append
-    stack = [term]  # terms still to print, and the text between them
+    stack = []
     pop = stack.pop
     push = stack.append
-    while stack:
-        item = pop()
-        if isinstance(item, str):
-            emit(item)
-        elif isinstance(item, NameTerm):
-            emit(item.name if rename is None else rename[item.name])
-        else:
-            args = item.args
-            if item.needed:
-                emit("!")
-            emit(item.symbol.name)
-            if not args:
-                continue
-            emit("(")
-            push(")")
-            k = len(args) - 1
-            push(args[k])
-            while k:
-                k -= 1
-                push(", ")
-                push(args[k])
-    return "".join(parts)
+    for item in items:
+        if len(parts) >= _CHUNK_PARTS:
+            chunks.append("".join(parts))
+            parts.clear()
+        close = 0
+        while True:
+            cls = item.__class__
+            if cls is str:
+                emit(item)
+            elif cls is NameTerm:
+                emit(item.name if rename is None else rename[item.name])
+            elif cls is int:
+                emit(")" * item)
+            else:
+                if item.needed:
+                    emit("!")
+                emit(item.symbol.name)
+                args = item.args
+                if args:
+                    if len(parts) >= _CHUNK_PARTS:
+                        chunks.append("".join(parts))
+                        parts.clear()
+                    emit("(")
+                    k = len(args) - 1
+                    if k:
+                        push(close + 1)
+                        close = 0
+                        while k:
+                            push(args[k])
+                            push(", ")
+                            k -= 1
+                    else:
+                        close += 1
+                    item = args[0]
+                    continue
+            if close:
+                emit(")" * close)
+                close = 0
+            if not stack:
+                break
+            item = pop()
+    if not chunks:
+        return "".join(parts)
+    chunks.append("".join(parts))
+    return "".join(chunks)
 
 
 def _check_terms(roots, by_name, context, diags, counts, first_loc):

@@ -999,14 +999,15 @@ def run(net: RuntimeNet, config: Optional[EngineConfig] = None) -> RunResult:
         entry = pop(rng)
         if entry is None:
             break
-        net.pop_count += 1
         net._window_ops = 0
         outcome, detail = process_entry(net, entry, config=cfg)
         if net._window_ops > stats.max_ops_per_step:
             stats.max_ops_per_step = net._window_ops
         if outcome == "budget":
+            # Its entry went back; the pop that resumes it is the one counted.
             status = "step_limit"
             break
+        net.pop_count += 1
         if outcome == "stuck":
             status = "stuck"
             stuck_pair = detail

@@ -23,10 +23,13 @@ the text between runs in C. One `findall` cuts each trivia-free run into
 token strings, interned so that equal tokens share one string. Their
 offsets are running sums of their lengths from the run's start, kept in
 one 4-byte `array('I')`, so a text of 2**32 characters or more is
-refused. A location is computed only where it is kept, on terms, rules,
-equations and errors, by bisecting the newline offsets (a tab or a
-carriage return counts one column). A term, rule or equation keeps it
-packed in one int, a `core.Loc`, decoded where a diagnostic is built.
+refused. The parser deletes the head it has consumed of both, once that
+is at least `_TOKEN_WINDOW` tokens and at least as long as the rest, so
+the tokens it keeps shrink as the terms it builds grow. A location is
+computed only where it is kept, on terms, rules, equations and errors,
+by bisecting the newline offsets (a tab or a carriage return counts one
+column). A term, rule or equation keeps it packed in one int, a
+`core.Loc`, decoded where a diagnostic is built.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from itertools import accumulate, repeat
+from typing import Optional
 
 from .core import (
     AgentTerm,
@@ -45,6 +49,7 @@ from .core import (
     collector_paused,
     Configuration,
     Equation,
+    format_items,
     format_term,
     InteractionSystem,
     NameTerm,
@@ -68,6 +73,10 @@ _TRIVIA_RE = re.compile(
 # Tokens; they cover a trivia-free run of text that passed the check.
 _LEXEME_RE = re.compile(r"><|[!/()\[\]{}=,;]|[A-Za-z_][A-Za-z0-9_]*|[0-9]+")
 _DEPTH_STEP = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
+# `_Parser.term` deletes the tokens it has consumed once they number at
+# least this many and at least as many as are left: its scratch shrinks
+# as its terms grow, and each deletion moves fewer tokens than it frees.
+_TOKEN_WINDOW = 1 << 12
 
 
 class ParseError(Exception):
@@ -92,7 +101,9 @@ def _shown(token):
 class _Parser:
     """Recursive descent over tokens by index: `vals[i]` is the text of
     token i, `starts[i]` its offset. The list ends in two empty tokens
-    at the end of input; no index past the first is read."""
+    at the end of input; no index past the first is read. `term` deletes
+    the consumed head of both, so an index is only good until the next
+    `term` call, which returns the index after its term; an offset keeps."""
 
     def __init__(self, text: str):
         if len(text) >> 32:
@@ -111,8 +122,9 @@ class _Parser:
             # The last sum is the run's end, where its trivia starts.
             offset = starts.pop() + len(next(pieces, ""))
         starts.extend((len(text), len(text)))
-        # A new list of exactly its length: it outlives the scan.
+        # A new list of exactly its length; `term` trims it from the head.
         self.vals, self.starts = vals + ["", ""], starts
+        self.trimmed(0)
         self.signature = Signature()
 
     def locate(self, offset):
@@ -186,12 +198,13 @@ class _Parser:
                 right, i = self.rule_side(self.expect(i, "><"))
                 rules.add(Rule(left, right, loc=loc))
             elif item == "net":
-                name, config, end = self.net(i + 1)
+                at = self.starts[i]  # the net's terms move the index
+                name, config, i = self.net(i + 1)
                 if name in nets:
                     shown = f"net {name!r}" if name else "anonymous net"
-                    self.error(i, f"duplicate {shown}")
+                    raise ParseError(f"duplicate {shown}",
+                                     *unpack_loc(self.locate(at)))
                 nets[name] = config
-                i = end
             else:
                 self.error(i, "expected 'agent', 'rule', or 'net'")
         return InteractionSystem(self.signature, rules, nets)
@@ -228,6 +241,13 @@ class _Parser:
             equations.append(Equation(lhs, rhs, loc))
         return name, Configuration(equations), i + 1
 
+    def trimmed(self, i):
+        """Delete the tokens before index i, which is then 0; return it
+        and `trim_at`, the index to trim at next."""
+        del self.vals[:i], self.starts[:i]
+        self.trim_at = max(_TOKEN_WINDOW, len(self.vals) >> 1)
+        return 0, self.trim_at
+
     def term(self, i):
         """Parse the term at token i; return it and the index after it.
 
@@ -236,11 +256,17 @@ class _Parser:
         stack. `args` is None until the application's first `,`, then a
         list of the arguments before the last `,`; its `)` builds the
         term's list by concatenation, so it has exactly its length.
+        Once index i reaches `trim_at`, the tokens before it are deleted
+        (`trimmed`), in the loop that opens terms and in the one that
+        closes them.
         """
         vals, starts, line_ends, agents = (self.vals, self.starts, self.line_ends,
                                            self.signature._by_name)
+        trim_at = self.trim_at
         stack = []
         while True:
+            if i >= trim_at:
+                i, trim_at = self.trimmed(i)
             token = vals[i]
             needed = token == "!"
             if needed:
@@ -274,6 +300,8 @@ class _Parser:
 
             # Attach the completed term to the enclosing applications.
             while stack:
+                if i >= trim_at:
+                    i, trim_at = self.trimmed(i)
                 token = vals[i]
                 if token == ",":
                     i += 1
@@ -309,24 +337,47 @@ def parse(text) -> InteractionSystem:
 # --- printing ---------------------------------------------------------------
 
 class _CanonicalNames(dict):
-    """Names each name n0, n1, ... when the printer first reaches it."""
+    """Names each name n0, n1, ... when the printer first reaches it,
+    skipping any spelling in `taken`."""
+
+    def __init__(self, taken=()):
+        super().__init__()
+        self.taken = taken
+        self.count = 0
 
     def __missing__(self, name):
-        fresh = self[name] = f"n{len(self)}"
-        return fresh
+        while True:
+            fresh = f"n{self.count}"
+            self.count += 1
+            if fresh not in self.taken:
+                self[name] = fresh
+                return fresh
+
+
+def _equation_items(equations):
+    """`lhs = rhs;` per equation, the lines joined by newlines."""
+    for k, eq in enumerate(equations):
+        if k:
+            yield ";\n"
+        yield eq.lhs
+        yield " = "
+        yield eq.rhs
+    if equations:
+        yield ";"
 
 
 @collector_paused
-def format_config(config: Configuration, canon: bool = False) -> str:
+def format_config(config: Configuration, canon: bool = False,
+                  signature: Optional[Signature] = None) -> str:
     """One `lhs = rhs;` line per equation; empty configurations print empty.
 
-    With `canon`, names print as n0, n1, ... in first-occurrence order.
+    With `canon`, names print as n0, n1, ... in first-occurrence order,
+    skipping the agent names of `signature`, so the text parses back
+    with its declarations.
     """
-    rename = _CanonicalNames() if canon else None
-    return "\n".join(
-        f"{format_term(eq.lhs, rename)} = {format_term(eq.rhs, rename)};"
-        for eq in config.equations
-    )
+    taken = signature._by_name if signature is not None else ()
+    rename = _CanonicalNames(taken) if canon else None
+    return format_items(_equation_items(config.equations), rename)
 
 
 def _format_rule_side(side: RuleSide) -> str:

@@ -10,7 +10,7 @@ import weakref
 
 import pytest
 
-from inet import cli, engine
+from inet import cli, engine, format_term, NameTerm, parse
 from inet.cli import main
 from inet.fixtures import comb, delegation_chain, fixture_path, fixture_text
 
@@ -82,6 +82,42 @@ def test_run_fresh_names_skip_declared_agent_names(tmp_inet, capsys):
     out, err = capsys.readouterr()
     assert out == "X = C(n1);\nY = D(n1);\n"
     assert err == ""
+
+
+def test_run_canon_names_skip_declared_agent_names(tmp_inet, capsys):
+    declarations = ("agent n0/0 agent A/2 agent B/0 agent C/1 agent D/1 "
+                    "agent X/0 agent Y/0\n")
+    path = tmp_inet(declarations + "rule A[C(x), D(x)] >< B[]\n"
+                    "net t { A(p, q) = B; X = p; Y = q; }")
+    assert main(["run", path, "--mode", "full", "--canon"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "X = C(n1);\nY = D(n1);\n"
+    assert err == ""
+    # With the file's declarations, the output parses back as the same net.
+    again = parse(declarations + "net r { " + out + " }").get_net("r")
+    assert [(format_term(eq.lhs), format_term(eq.rhs))
+            for eq in again.equations] == [("X", "C(n1)"), ("Y", "D(n1)")]
+    assert all(isinstance(eq.rhs.args[0], NameTerm) for eq in again.equations)
+
+
+def test_run_drops_the_parsed_input_before_reducing(monkeypatch, capsys):
+    parsed = []
+    parse_file, inner = cli._parse_file, engine.run
+
+    def recording_parse(path):
+        system = parse_file(path)
+        parsed.append(weakref.ref(system))
+        return system
+
+    def checking_run(net, config):
+        # Reference counting alone has freed it: no collection is asked for.
+        assert [ref() for ref in parsed] == [None]
+        return inner(net, config)
+
+    monkeypatch.setattr(cli, "_parse_file", recording_parse)
+    monkeypatch.setattr(engine, "run", checking_run)
+    assert main(["run", ADD, "--mode", "full"]) == 0
+    assert capsys.readouterr().out == "Res = S(S(Z));\n"
 
 
 def test_run_is_byte_deterministic(capsys):

@@ -36,3 +36,12 @@ def test_layers_come_in_pipeline_order_with_peak_at_least_held(workload):
     for cls in ("AgentNode", "WireHalf"):
         assert report["alive"][cls] == report["reachable"][cls], cls
     assert report["alive"]["EquationNode"] >= report["reachable"]["EquationNode"] > 0
+
+
+def test_cli_peak_of_inet_run():
+    done = subprocess.run([sys.executable, str(TOOL), "chain_needed", "--size", "400",
+                           "--cli"], capture_output=True, text=True, check=True)
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert (report["workload"], report["size"]) == ("chain_needed", 400)
+    # The run holds at least the 400-deep residual's text and terms.
+    assert 0.01 < report["cli_peak_mb"] < 5

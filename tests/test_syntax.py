@@ -4,6 +4,7 @@ import json
 import random
 import re
 import sys
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,7 @@ from inet import (
     ParseError,
     run,
     stats_json,
+    syntax,
     validate_system,
 )
 from inet.core import (
@@ -34,7 +36,7 @@ from inet.core import (
     unpack_loc,
 )
 from inet.fixtures import available, delegation_chain, fixture_text
-from inet.syntax import _TRIVIA_RE
+from inet.syntax import _TOKEN_WINDOW, _TRIVIA_RE
 from test_cli_golden import SOURCES as GOLDEN_SOURCES
 from test_properties import make_case
 
@@ -337,9 +339,20 @@ def with_random_trivia(text, rng):
     return "".join(pieces), tokens, starts
 
 
+def _past_the_window():
+    """A net of flat equations and one deep term, each part past the
+    token window that parse trims at."""
+    flat = "".join(f"A(x{k}, !S(y{k})) = S(A(y{k}, x{k}));\n"
+                   for k in range(_TOKEN_WINDOW // 4))
+    deep = "S(" * _TOKEN_WINDOW + "Z" + ")" * _TOKEN_WINDOW
+    return ("agent Z/0 agent S/1 agent A/2\nrule S[x] >< Z[x]\n"
+            f"net wide {{\n{flat}{deep} = A(u, v);\n{flat}}}\n")
+
+
 def _location_inputs():
     yield from (fixture_text(name) for name in ("omega", "add"))
     yield delegation_chain(10000)
+    yield _past_the_window()
     yield from (format_system(make_case(seed)) for seed in range(200))
 
 
@@ -413,6 +426,80 @@ def test_parse_error_past_line_and_column_70000():
         with pytest.raises(ParseError) as info:
             parse(text)
         assert str(info.value) == f"{where(text, 'B; }')}: expected ';', got 'B'"
+
+
+# Past `_TOKEN_WINDOW` tokens, parse has deleted the tokens it consumed;
+# each case's error sits after at least 2**16 of them. `at` is a token
+# that occurs once, where the error is reported.
+_DEEP = "S(" * 2 ** 15 + "Z" + ")" * 2 ** 15
+_FLAT = "B = S(B); " * 2 ** 14
+_PAST_THE_WINDOW = [
+    # inside a term, after its openings
+    (f"net {{ x = {_DEEP[:2 ** 16]}!w); }}", "w)",
+     "NeededOnName: needed marker on name 'w'; only agents can be marked needed"),
+    (f"net {{ x = {_DEEP[:2 ** 16]}w(Z)); }}", "(Z)",
+     "ArgsOnName: 'w' is a name and cannot take arguments"),
+    # among a term's closers
+    (f"net {{ x = {_DEEP[:-9]}]; }}", "];", "expected ',' or ')', got ']'"),
+    # between the equations of a net, and between items
+    (f"net {{ {_DEEP} = x y; }}", "y;", "expected ';', got 'y'"),
+    (f"net {{ {_FLAT}{_DEEP} = x; {_FLAT} B w; }}", "w;", "expected '=', got 'w'"),
+    (f"net {{ {_FLAT} }}\nfoo", "foo", "expected 'agent', 'rule', or 'net'"),
+    (f"net {{ {_FLAT} }} rule S[{_DEEP}, ] >< Z[]", "] >",
+     "expected agent or name, got ']'"),
+]
+
+
+@pytest.mark.parametrize("body, at, message", _PAST_THE_WINDOW, ids=[
+    "needed_name", "args_on_name", "closer", "equation_end", "equation_eq",
+    "item", "rule_side"])
+def test_parse_errors_past_the_token_window(body, at, message, monkeypatch):
+    text = "agent S/1 agent Z/0 agent B/0\n" + body
+    assert text.count(at) == 1
+    assert len(re.findall(r"[A-Za-z0-9_]+|\S", text[:text.index(at)])) > 2 ** 16
+    errors = []
+    for window in (_TOKEN_WINDOW, len(text)):  # trimmed, then never trimmed
+        monkeypatch.setattr(syntax, "_TOKEN_WINDOW", window)
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        errors.append(str(info.value))
+    assert errors == [f"{where(text, at)}: {message}"] * 2
+
+
+@pytest.mark.parametrize("first, second, name", [
+    (_FLAT, _FLAT, "big"), (_FLAT, "B = B;", ""),
+    ("B = B;", _FLAT + _DEEP + " = B;", "big")],
+    ids=["both_large", "first_large", "second_large"])
+def test_a_duplicate_net_after_the_token_window(first, second, name):
+    text = (f"agent S/1 agent Z/0 agent B/0\nnet {name} {{ {first} }}\n"
+            f"  net {name} {{ {second} }}\n")
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    shown = f"net {name!r}" if name else "anonymous net"
+    assert str(info.value) == f"3:3: duplicate {shown}"
+
+
+def test_parse_holds_no_consumed_tokens_and_format_about_its_text():
+    # Parse deletes the tokens it has consumed, and format joins its parts
+    # in bounded chunks, so neither keeps scratch that grows with the input
+    # beyond what it returns; parse keeps one int per newline offset. Kept
+    # to the end, this input's tokens would take 0.65 MB over the parsed
+    # system, and a part list for the whole text 5.9 times the text.
+    flat = "".join(f"A(x{k}, !S(y{k})) = S(A(y{k}, x{k}));\n" for k in range(1000))
+    deep = "S(" * 10000 + "Z" + ")" * 10000
+    text = f"agent Z/0 agent S/1 agent A/2\nnet n {{\n{flat}{deep} = A(u, v);\n}}\n"
+    tracemalloc.start()
+    try:
+        system = parse(text)
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        printed = format_config(system.get_net("n"))
+        format_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 64 * 1024 + 40 * text.count("\n")
+    assert printed.count("\n") == 1000
+    assert format_peak < 2 * sys.getsizeof(printed) + 64 * 1024
 
 
 def test_rule_diagnostics_after_crlf_and_tabs():

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Traced memory of each layer of the benchmark pipeline.
 
-    python3 tools/mem_layers.py WORKLOAD [--size N]
+    python3 tools/mem_layers.py WORKLOAD [--size N] [--cli]
 
 Generates WORKLOAD with `perfbench/workloads.py` (seed 1, at its large
 size unless `--size` is given) and runs once the pipeline that
@@ -32,14 +32,24 @@ input, in its rules and nets, counted on a parse made outside tracing),
 `parse_bytes_per_term` (the bytes parse still holds divided by `terms`),
 and the `alive` and `reachable` counts by class. Exits 1 if the
 pipeline's output is wrong, as `perfbench/run.py` judges it.
+
+With `--cli`, it measures `inet run` itself instead: it writes the
+workload's source to a temporary file and calls
+`inet.cli.main(["run", FILE, "--net", NET, "--mode", MODE, "--canon"])`
+under `tracemalloc`, with stdout written to a second temporary file,
+and prints the peak of traced memory over the call, in MB. Its last
+stdout line is one JSON object: workload, size and `cli_peak_mb`. Exits
+1 if the call fails or prints other than the expected residual.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -47,6 +57,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import inet  # noqa: E402
+import inet.cli  # noqa: E402
 import run as bench  # noqa: E402  (perfbench/run.py)
 import workloads  # noqa: E402
 
@@ -121,12 +132,41 @@ def layer_memory(work):
     return (rows, term_count(inet.parse(work.source)), *counts)
 
 
+def cli_peak(work):
+    """Peak traced bytes of one `inet run --canon` of `work`, in process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        source, printed = Path(tmp, "source.inet"), Path(tmp, "stdout.txt")
+        source.write_bytes(work.source)
+        argv = ["run", str(source), "--net", work.net, "--mode", work.mode,
+                "--canon"]
+        gc.collect()
+        with open(printed, "w", encoding="utf-8") as out:
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(out):
+                    code = inet.cli.main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        if code != 0 or printed.read_text(encoding="utf-8") != work.expected_text + "\n":
+            raise SystemExit(f"mem_layers: inet run on {work.name} gave a wrong result")
+    return peak
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--size", type=int, help="default: the large size")
+    parser.add_argument("--cli", action="store_true",
+                        help="measure the peak of `inet run --canon` instead")
     args = parser.parse_args(argv)
     work = workloads.make(args.workload, 1, args.size)
+    if args.cli:
+        peak = cli_peak(work)
+        print(f"cli       peak {peak / 1e6:8.2f} MB")
+        print(json.dumps({"workload": work.name, "size": work.size,
+                          "cli_peak_mb": round(peak / 1e6, 3)}))
+        return
     rows, terms, left, live = layer_memory(work)
     for name, peak, held, transient in rows:
         print(f"{name:<9} peak {peak / 1e6:8.2f} MB  held {held / 1e6:8.2f} MB"
