@@ -227,25 +227,27 @@ class Rule:
     right: RuleSide
     loc: Optional[Loc] = field(default=None, compare=False, repr=False)
 
-    def pair_key(self):
-        a, b = self.left.symbol.id, self.right.symbol.id
-        return (a, b) if a <= b else (b, a)
-
 
 class RuleSet:
-    """Rules indexed by unordered symbol pair; first declaration wins."""
+    """Rules indexed by ordered symbol pair; first declaration wins.
+
+    `by_pair` maps `(a.id, b.id)` to `lookup(a, b)`'s `(rule, swapped)`
+    under both orderings of each rule's symbols, one entry for a rule over
+    one symbol; a later rule for an indexed pair goes to `duplicates`.
+    """
 
     def __init__(self):
         self.rules: list[Rule] = []
         self.duplicates: list[Rule] = []
-        self._index: dict[tuple, Rule] = {}
+        self.by_pair: dict[tuple, tuple] = {}
 
     def add(self, rule: Rule):
-        key = rule.pair_key()
-        if key in self._index:
+        a, b = rule.left.symbol.id, rule.right.symbol.id
+        if (a, b) in self.by_pair:
             self.duplicates.append(rule)
         else:
-            self._index[key] = rule
+            self.by_pair[a, b] = (rule, False)
+            self.by_pair.setdefault((b, a), (rule, True))
         self.rules.append(rule)
 
     def lookup(self, a: AgentSymbol, b: AgentSymbol):
@@ -254,11 +256,7 @@ class RuleSet:
         `swapped` is False when `a` matches the rule's left side; for
         rules with the same symbol on both sides it is always False.
         """
-        key = (a.id, b.id) if a.id <= b.id else (b.id, a.id)
-        rule = self._index.get(key)
-        if rule is None:
-            return None
-        return rule, rule.left.symbol.id != a.id
+        return self.by_pair.get((a.id, b.id))
 
     def __iter__(self):
         return iter(self.rules)
@@ -281,7 +279,7 @@ class InteractionSystem:
                 return next(iter(self.nets.values()))
             raise UnknownNetError(
                 f"system defines {len(self.nets)} nets; a net name is required"
-            )
+                if self.nets else "system defines no net")
         if name not in self.nets:
             raise UnknownNetError(f"no net named {name!r}")
         return self.nets[name]

@@ -35,10 +35,10 @@ for a pop, and it reads the run's `EngineConfig`: it classifies the
 entry, checks the step budget once, counts the step and its kind in
 `Stats`, and then performs the step. A step writes the graph itself and
 adds its fixed mutation count once, plus one per enqueue. An interaction
-calls a straight-line kernel: `compile_rule` builds a rule's program
-once per ordered symbol pair per net (cached in `RuntimeNet.programs`),
-and the kernel it holds is generated once per process for each rule
-shape, the rule's creation sequence with its symbols left out. The
+calls a straight-line kernel: `load` compiles each orientation of each
+rule into `RuntimeNet.programs`, so no step looks up or compiles a rule,
+and the kernel a program holds is generated once per process for each
+rule shape, the rule's creation sequence with its symbols left out. The
 kernel makes one equation, agent or wire pair per template occurrence,
 in locals, so an interaction's cost is its program's `ops` plus its
 enqueues. Each pop dispatches on the entry's exact class and builds no
@@ -260,18 +260,16 @@ class _Queue:
 class RuntimeNet:
     """The mutable graph plus its queue, counters, and allocation state.
 
-    `programs` maps an ordered pair of symbol ids to its compiled rule
-    program, or to None when no rule covers the pair; each entry is
-    filled the first time its pair meets. It is kept per net because a
-    `RuleSet` and its `Rule`s can be changed between loads; only the
-    kernels are shared.
+    `programs` maps each ordered pair of symbol ids a rule covers to that
+    orientation's program; a pair with no entry has no rule. `load` fills
+    it once the system has passed its checks, so the net reduces under
+    the rule set as it was at its load. Only the kernels are shared.
     """
 
-    def __init__(self, signature, rules, mode):
+    def __init__(self, signature, mode):
         self.signature = signature
-        self.rules = rules
         self.mode = mode
-        self.programs: dict[tuple, Optional[RuleProgram]] = {}
+        self.programs: dict[tuple, RuleProgram] = {}
         self.equations: list[EquationNode] = []
         self.queue = _Queue()
         self.stats = Stats()
@@ -417,7 +415,8 @@ def load(system: InteractionSystem, net_name: Optional[str] = None,
     builds only its open spine and seeds the queue as it goes. The rules
     and the system's other nets get `validate_system`'s own checks. If
     any check flags, `validate_system` decides, so an invalid system
-    raises its exact diagnostics, also before an unknown net name.
+    raises its exact diagnostics, also before an unknown net name. Then
+    each entry of the rules' `by_pair` is compiled into `net.programs`.
     """
     if mode not in (NEEDED, FULL):
         raise ValueError(f"unknown mode {mode!r}")
@@ -429,7 +428,7 @@ def load(system: InteractionSystem, net_name: Optional[str] = None,
             raise InvalidSystemError(diagnostics) from None
         raise
 
-    net = RuntimeNet(system.signature, system.rules, mode)
+    net = RuntimeNet(system.signature, mode)
     passed = instantiate(net, config)
     if (not passed or rule_diagnostics(system)
             or any(net_diagnostics(system, name)
@@ -437,6 +436,8 @@ def load(system: InteractionSystem, net_name: Optional[str] = None,
         diagnostics = validate_system(system)
         if diagnostics:
             raise InvalidSystemError(diagnostics)
+    for pair, (rule, swapped) in system.rules.by_pair.items():
+        net.programs[pair] = compile_rule(rule, swapped)
     return net
 
 
@@ -481,7 +482,7 @@ def compile_rule(rule, swapped):
     """Compile one orientation of `rule` into a `RuleProgram`.
 
     The equation's left root matches `rule.right` when `swapped`, else
-    `rule.left` (the meaning `RuleSet.lookup` gives it). One preorder
+    `rule.left` (the meaning `RuleSet.by_pair` gives it). One preorder
     walk over both sides' templates, in the order the step creates
     equations (the left root's arguments first), writes the rule's shape
     and collects its symbols. Rule names become registers, so firing
@@ -721,13 +722,7 @@ def process_entry(net, entry, config):
             wire, other = rhs, lhs
         else:
             wire = None
-            key = (lhs.symbol.id, rhs.symbol.id)
-            try:
-                program = net.programs[key]
-            except KeyError:
-                found = net.rules.lookup(lhs.symbol, rhs.symbol)
-                program = net.programs[key] = (
-                    None if found is None else compile_rule(*found))
+            program = net.programs.get((lhs.symbol.id, rhs.symbol.id))
             if program is None:
                 if config.strict_rules:
                     net.queue.push_front(entry)

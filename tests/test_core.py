@@ -211,6 +211,9 @@ def test_get_net_resolution(add_system):
     two = parse("agent A/0 agent B/0\nnet p { A = B; }\nnet q { B = A; }")
     with pytest.raises(UnknownNetError):
         two.get_net(None)
+    # With no net at all, no name can help.
+    with pytest.raises(UnknownNetError, match="^system defines no net$"):
+        parse("agent A/0 agent B/0").get_net(None)
     assert str(UnknownNetError()) == "unknown net"
 
 
@@ -250,6 +253,9 @@ def test_configs_isomorphic_respects_name_bijection():
     # Nor may two names map to one.
     merged = cfg(base + "net { A(u, u) = B; A(v, v) = C; }")
     assert not configs_isomorphic(a, merged)
+    # Not even within one equation of the same shape.
+    assert not configs_isomorphic(cfg(base + "net { A(x, y) = B; }"),
+                                  cfg(base + "net { A(z, z) = B; }"))
 
 
 def test_a_name_never_matches_an_agent():
@@ -353,6 +359,8 @@ def test_agent_term_equality_with_tuple_args():
 
     assert held("x") == held("x")
     assert held("x") != held("y")
+    listed = AgentTerm(d, [NameTerm("x"), AgentTerm(z, [])])
+    assert listed == AgentTerm(d, [NameTerm("x"), AgentTerm(z, [])])
     # A tuple never equals a list, as in the dataclass's own comparison.
     assert held("x") != AgentTerm(d, [NameTerm("x"), AgentTerm(z, [])])
 

@@ -21,6 +21,9 @@ from inet import (
     Equation,
     InvalidSystemError,
     NameTerm,
+    Rule,
+    RuleSet,
+    RuleSide,
     UnknownNetError,
     configs_isomorphic,
     engine,
@@ -31,12 +34,12 @@ from inet import (
     readback,
     run,
 )
-from inet.core import AgentSymbol, iter_terms
+from inet.core import ARITY_MISMATCH, AgentSymbol, iter_terms
 from inet.engine import AgentNode, AuditError, EquationNode, WireHalf, _Auditor
-from inet.fixtures import comb, deep_splice, delegation_chain, fixture_text
+from inet.fixtures import available, comb, deep_splice, delegation_chain, fixture_text
 from test_cli_golden import MIX, SOURCES
 from test_collector import add_source
-from test_properties import make_case
+from test_properties import RANDOM_RULES, make_case
 
 
 def config_terms(config):
@@ -626,10 +629,79 @@ def test_rules_compile_once_per_pair_per_net(monkeypatch):
     nat = "S(" * 1000 + "Z" + ")" * 1000
     system = parse(RULE_SOURCES["add"] + f"net a {{ {nat} = Add(x, S(Z)); Res = x; }}")
     for loads in (1, 2):
-        result = run(load(system, "a", mode="full"), EngineConfig(mode="full"))
+        net = load(system, "a", mode="full")
+        assert len(calls) == 4 * loads
+        result = run(net, EngineConfig(mode="full"))
         assert result.stats.interactions == 1001
-        assert len(calls) == 2 * loads
-    assert sorted(calls[:2]) == [("S", "Add", False), ("Z", "Add", False)]
+        assert len(calls) == 4 * loads
+    assert sorted(calls[:4]) == [("S", "Add", False), ("S", "Add", True),
+                                 ("Z", "Add", False), ("Z", "Add", True)]
+
+
+def test_no_run_looks_up_or_compiles_a_rule(monkeypatch):
+    # Every net is loaded before both calls are made to raise.
+    systems = [parse(text) for text in SOURCES.values()]
+    systems += [parse(fixture_text(name)) for name in available()]
+    systems += [make_case(seed) for seed in range(60)]
+    runs = []
+    for system in systems:
+        for name in system.nets:
+            for mode in ("needed", "full"):
+                for shuffle_seed in (None, 1):
+                    runs.append((load(system, name, mode=mode),
+                                 [EngineConfig(mode=mode, shuffle_seed=shuffle_seed,
+                                               max_steps=20000)]))
+            runs.append((load(system, name), [EngineConfig(max_steps=20000),
+                                              EngineConfig(mode="full", max_steps=20000)]))
+
+    def forbidden(*args):
+        raise AssertionError(f"rule looked up or compiled during a run: {args}")
+
+    monkeypatch.setattr(engine, "compile_rule", forbidden)
+    monkeypatch.setattr(RuleSet, "lookup", forbidden)
+    interactions = 0
+    for net, configs in runs:
+        for config in configs:
+            interactions += run(net, config).stats.interactions
+    assert interactions > 0
+
+
+LOADED_RULES = {**RULE_SOURCES, "random": RANDOM_RULES}
+
+
+@pytest.mark.parametrize("key", LOADED_RULES)
+def test_load_compiles_every_orientation_of_every_rule(key):
+    system = parse(LOADED_RULES[key] + "net e {}\n")
+    by_pair = system.rules.by_pair
+    assert len(by_pair) == sum(1 if rule.left.symbol is rule.right.symbol else 2
+                               for rule in system.rules)
+    net = load(system, "e")
+    assert net.programs.keys() == by_pair.keys()
+    for pair, program in net.programs.items():
+        expected = engine.compile_rule(*by_pair[pair])
+        assert program.fire is expected.fire
+        assert (program.symbols, program.ops, program.label) == (
+            expected.symbols, expected.ops, expected.label)
+
+
+@pytest.mark.parametrize("valid", [True, False])
+def test_a_rule_added_after_load_changes_only_later_loads(valid):
+    system = parse("agent A/1 agent B/0 agent Z/0 agent E/0\nnet { A(Z) = B; }")
+    net = load(system, mode="full")
+    sig = system.signature
+    # A[E] >< B[] equates A's argument with E; A[] >< B[] is one template short.
+    templates = [AgentTerm(sig.get("E"), [])] if valid else []
+    system.rules.add(Rule(RuleSide(sig.get("A"), templates), RuleSide(sig.get("B"), [])))
+    result = run(net, EngineConfig(mode="full", audit=True))
+    assert (result.stats.interactions, result.stats.observable_terminals) == (0, 1)
+    assert format_config(result.residual) == "A(Z) = B;"
+    if valid:
+        fresh = run(load(system, mode="full"), EngineConfig(mode="full", audit=True))
+        assert format_config(fresh.residual) == "Z = E;"
+    else:
+        with pytest.raises(InvalidSystemError) as raised:
+            load(system, mode="full")
+        assert [d.category for d in raised.value.diagnostics] == [ARITY_MISMATCH]
 
 
 def test_indirection_splices_into_a_root_slot():

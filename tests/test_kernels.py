@@ -112,6 +112,5 @@ def test_loads_and_runs_of_one_system_add_no_kernel(mode):
         assert engine._KERNELS == kernels
         # Each net compiles its own programs around the shared kernels.
         for key, program in net.programs.items():
-            if program is not None:
-                assert program is not first.programs[key]
-                assert program.fire is first.programs[key].fire
+            assert program is not first.programs[key]
+            assert program.fire is first.programs[key].fire
