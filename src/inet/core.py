@@ -400,32 +400,45 @@ def _check_terms(roots, by_name, context, diags, counts, first_loc):
     Reports each agent term whose symbol is not the declared one, or
     whose argument count is not its arity, and counts each name's
     occurrences into `counts`, with its first location in `first_loc`.
+    The walk steps straight into an agent term's first argument and
+    keeps only its later arguments on a stack, as `format_items` does,
+    so a chain of one-argument terms costs no stack entry.
     """
-    for root in roots:
-        stack = [root]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, NameTerm):
+    stack = []
+    push = stack.append
+    for t in roots:
+        while True:
+            # An agent term skips the isinstance call.
+            if t.__class__ is not AgentTerm and isinstance(t, NameTerm):
                 counts[t.name] = counts.get(t.name, 0) + 1
                 first_loc.setdefault(t.name, t.loc)
-                continue
-            sym = t.symbol
-            args = t.args
-            declared = by_name.get(sym.name)
-            if declared is not sym and declared != sym:
-                diags.append(Diagnostic(
-                    UNDECLARED_SYMBOL,
-                    f"agent {sym.name!r} is not declared {context}",
-                    t.loc,
-                ))
-            elif len(args) != sym.arity:
-                diags.append(Diagnostic(
-                    ARITY_MISMATCH,
-                    f"{sym.name} has arity {sym.arity} "
-                    f"but is applied to {len(args)} argument(s) {context}",
-                    t.loc,
-                ))
-            stack.extend(reversed(args))
+            else:
+                sym = t.symbol
+                args = t.args
+                declared = by_name.get(sym.name)
+                if declared is not sym and declared != sym:
+                    diags.append(Diagnostic(
+                        UNDECLARED_SYMBOL,
+                        f"agent {sym.name!r} is not declared {context}",
+                        t.loc,
+                    ))
+                elif len(args) != sym.arity:
+                    diags.append(Diagnostic(
+                        ARITY_MISMATCH,
+                        f"{sym.name} has arity {sym.arity} "
+                        f"but is applied to {len(args)} argument(s) {context}",
+                        t.loc,
+                    ))
+                if args:
+                    k = len(args) - 1
+                    while k:
+                        push(args[k])
+                        k -= 1
+                    t = args[0]
+                    continue
+            if not stack:
+                break
+            t = stack.pop()
 
 
 @collector_paused

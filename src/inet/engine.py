@@ -312,9 +312,11 @@ def instantiate(net, config):
     checks every term and builds a node for each open term, roots
     included; every other term, a closed one, stays on its equation's
     side or in its parent's slot as the input term itself. The walk
-    keeps no frame per term: its pending stack holds `(depth, slot,
-    term)` entries, and a path holds the agent terms above the current
-    one with their slots, beside the nodes built for a prefix of them.
+    keeps no frame per term: it steps straight into an agent term's
+    first argument, its pending stack holds a `(depth, slot, term)`
+    entry for each later argument, and a path holds the agent terms
+    above the current one with their slots, beside the nodes built for
+    a prefix of them.
     A popped entry first cuts the path to its depth. A name or a `!`
     then builds the path's unbuilt nodes from the top down and places
     its own, so nodes, wires and needed markers come in preorder. Each
@@ -349,9 +351,8 @@ def instantiate(net, config):
             enqueue(net, eq)
         nodes = [eq]  # then the nodes built for a prefix of the path
         push((0, 1, ast_eq.rhs))
-        push((0, 0, ast_eq.lhs))
-        while stack:
-            depth, slot, t = pop()
+        depth, slot, t = 0, 0, ast_eq.lhs
+        while True:
             if top > depth:
                 del path[depth:], slots[depth:], nodes[depth + 1:]
                 top = depth
@@ -375,11 +376,18 @@ def instantiate(net, config):
                 path_add(t)
                 slot_add(slot)
                 top = depth + 1
-                k = len(args)
-                while k:
-                    k -= 1
-                    push((top, k, args[k]))
+                if args:
+                    k = len(args) - 1
+                    while k:
+                        push((top, k, args[k]))
+                        k -= 1
                 if not t.needed:
+                    if args:
+                        depth, slot, t = top, 0, args[0]
+                        continue
+                    if not stack:
+                        break
+                    depth, slot, t = pop()
                     continue
                 node = AgentNode(sym, keep_needed, args)
                 if keep_needed:
@@ -399,6 +407,12 @@ def instantiate(net, config):
             node.parent = owner
             if node.__class__ is AgentNode:
                 nodes.append(node)
+                if args:
+                    depth, slot, t = top, 0, args[0]
+                    continue
+            if not stack:
+                break
+            depth, slot, t = pop()
     net._pair_seq = pair_id
     return passed and all(n == 2 for n in counts.values())
 
@@ -798,7 +812,9 @@ def readback(net: RuntimeNet) -> Configuration:
     agent, so the residual parses back with its declarations). One walk
     builds each side in left-to-right preorder, collects the user names
     it meets and keeps each unlabelled pair's name terms; those are
-    named once the walk is done.
+    named once the walk is done. The walk steps straight into a node's
+    first child and keeps only its later children on a stack, so a
+    chain of one-argument nodes costs no stack entry.
 
     A held input term reads back as itself, and the walk does not enter
     it. So the residual shares held subterms with the input
@@ -809,30 +825,39 @@ def readback(net: RuntimeNet) -> Configuration:
     taken = set(net.signature._by_name)
     unnamed: dict = {}  # pair id -> its name terms, in first-occurrence order
     equations = []
+    stack = []
+    push = stack.append
     for eq in net.live_equations():
         lhs, rhs = eq.children
         sides = [None, None]
-        stack = [(rhs, sides, 1), (lhs, sides, 0)]
-        while stack:
-            node, args, j = stack.pop()
+        push((rhs, sides, 1))
+        node, args, j = lhs, sides, 0
+        while True:
             cls = node.__class__
-            if cls is WireHalf:
+            if cls is AgentNode:
+                children = node.children
+                k = len(children)
+                term = args[j] = AgentTerm(node.symbol, [None] * k, node.needed)
+                if k:
+                    args = term.args
+                    k -= 1
+                    while k:
+                        push((children[k], args, k))
+                        k -= 1
+                    node, j = children[0], 0
+                    continue
+            elif cls is WireHalf:
                 label = node.label
                 term = args[j] = NameTerm(label)
                 if label:
                     taken.add(label)
                 else:
                     unnamed.setdefault(node.pair_id, []).append(term)
-            elif cls is not AgentNode:
-                args[j] = node  # a held input term
             else:
-                children = node.children
-                k = len(children)
-                term = args[j] = AgentTerm(node.symbol, [None] * k, node.needed)
-                term_args = term.args
-                while k:
-                    k -= 1
-                    stack.append((children[k], term_args, k))
+                args[j] = node  # a held input term
+            if not stack:
+                break
+            node, args, j = stack.pop()
         equations.append(Equation(sides[0], sides[1]))
 
     fresh = 0

@@ -20,16 +20,21 @@ The scanner checks the input for a stray character with one regex match,
 then splits it once on its trivia runs (whitespace and comments); the
 split's pattern starts with a character class, so the regex engine skips
 the text between runs in C. One `findall` cuts each trivia-free run into
-token strings, interned so that equal tokens share one string. Their
-offsets are running sums of their lengths from the run's start, kept in
-one 4-byte `array('I')`, so a text of 2**32 characters or more is
-refused. The parser deletes the head it has consumed of both, once that
-is at least `_TOKEN_WINDOW` tokens and at least as long as the rest, so
-the tokens it keeps shrink as the terms it builds grow. A location is
-computed only where it is kept, on terms, rules, equations and errors,
-by bisecting the newline offsets (a tab or a carriage return counts one
-column). A term, rule or equation keeps it packed in one int, a
-`core.Loc`, decoded where a diagnostic is built.
+token strings, interned so that equal tokens share one string. A token
+is one lexeme, except that an identifier and the `(` right after it are
+one token (`A(`), and so is a run of `)`s: the parser opens an
+application in one token and closes a run of them in one. Each token's
+location is worked out as it is scanned and kept packed in one int
+`line << 32 | column`, a `core.Loc`, in one 8-byte `array('Q')`: a
+trivia-free run lies on one line, so its tokens' columns are running
+sums of their lengths, and each trivia piece moves the line on by its
+newlines (a tab or a carriage return counts one column). A line number
+and a column must each fit in 32 bits, so a text of 2**32 characters or
+more is refused. The parser deletes the head it has consumed of both,
+once that is at least `_TOKEN_WINDOW` tokens and at least as long as the
+rest, so the tokens it keeps shrink as the terms it builds grow. A term
+keeps its head's location as it is, and a rule or an equation its first
+token's; a diagnostic decodes it.
 """
 
 from __future__ import annotations
@@ -39,8 +44,7 @@ import json
 import re
 import sys
 from array import array
-from bisect import bisect_right
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Optional
 
 from .core import (
@@ -70,8 +74,9 @@ _WELL_FORMED_RE = re.compile(
 # A trivia run; the group makes `split` keep it as every second piece.
 _TRIVIA_RE = re.compile(
     r"([ \t\r\n#](?:(?<=\#)[^\n]*)?(?:[ \t\r\n]+|\#[^\n]*)*)")
-# Tokens; they cover a trivia-free run of text that passed the check.
-_LEXEME_RE = re.compile(r"><|[!/()\[\]{}=,;]|[A-Za-z_][A-Za-z0-9_]*|[0-9]+")
+# Tokens; they cover a trivia-free run of text that passed the check. An
+# identifier takes the `(` right after it, and a run of `)`s is one token.
+_LEXEME_RE = re.compile(r"><|[A-Za-z_][A-Za-z0-9_]*\(?|\)+|[!/(\[\]{}=,;]|[0-9]+")
 _DEPTH_STEP = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
 # `_Parser.term` deletes the tokens it has consumed once they number at
 # least this many and at least as many as are left: its scratch shrinks
@@ -98,52 +103,80 @@ def _shown(token):
     return token or "end of input"
 
 
+class _DepthSteps(dict):
+    """The bracket depth step of each token: a head with its `(` opens one
+    bracket, and a run of `)`s closes one per `)`."""
+
+    def __missing__(self, token):
+        step = self[token] = 1 if token[-1:] == "(" else -token.count(")")
+        return step
+
+
 class _Parser:
     """Recursive descent over tokens by index: `vals[i]` is the text of
-    token i, `starts[i]` its offset. The list ends in two empty tokens
-    at the end of input; no index past the first is read. `term` deletes
-    the consumed head of both, so an index is only good until the next
-    `term` call, which returns the index after its term; an offset keeps."""
+    token i, `locs[i]` its packed `Loc`. The list ends in two empty tokens
+    at the end of input; no index past the first is read.
+
+    `term` reads an identifier with its `(`, and a run of `)`s, as one
+    token; everywhere else `lexeme` first splits such a token in place,
+    so each message names, and points at, one lexeme. `term` deletes the
+    consumed head of both lists, so an index is only good until the next
+    `term` call, which returns the index after its term; a location keeps."""
 
     def __init__(self, text: str):
         if len(text) >> 32:
             raise ParseError("input is too long: 2**32 characters or more", 1, 1)
-        self.line_ends = [-1] + [m.start() for m in re.finditer("\n", text)]
         ok = _WELL_FORMED_RE.match(text).end()
         if ok < len(text):
             raise ParseError(f"unexpected character {text[ok]!r}",
-                             *unpack_loc(self.locate(ok)))
-        vals, starts, offset = [], array("I"), 0
+                             text.count("\n", 0, ok) + 1,
+                             ok - text.rfind("\n", 0, ok))
+        vals, locs, loc = [], array("Q"), 1 << 32 | 1
         pieces = iter(_TRIVIA_RE.split(text))
         for run in pieces:
             tokens = _LEXEME_RE.findall(run)
             vals += map(sys.intern, tokens)
-            starts.extend(accumulate(map(len, tokens), initial=offset))
+            # A trivia-free run lies on one line.
+            locs.extend(accumulate(map(len, tokens), initial=loc))
             # The last sum is the run's end, where its trivia starts.
-            offset = starts.pop() + len(next(pieces, ""))
-        starts.extend((len(text), len(text)))
+            loc = locs.pop()
+            trivia = next(pieces, "")
+            lines = trivia.count("\n")
+            if lines:
+                loc = ((loc >> 32) + lines) << 32 | len(trivia) - trivia.rindex("\n")
+            else:
+                loc += len(trivia)
+        locs.extend((loc, loc))
         # A new list of exactly its length; `term` trims it from the head.
-        self.vals, self.starts = vals + ["", ""], starts
+        self.vals, self.locs = vals + ["", ""], locs
         self.trimmed(0)
         self.signature = Signature()
 
-    def locate(self, offset):
-        """The packed `Loc` of a text offset."""
-        line = bisect_right(self.line_ends, offset)
-        return line << 32 | offset - self.line_ends[line - 1]
+    def lexeme(self, i):
+        """The first lexeme of token i, once token i is split in place
+        into its lexemes if it is an identifier with its `(` or a run of
+        `)`s."""
+        token = self.vals[i]
+        if len(token) > 1 and token[-1] in "()":
+            pieces = [token[:-1], "("] if token[-1] == "(" else list(token)
+            self.vals[i:i + 1] = pieces
+            self.locs[i:i + 1] = array(
+                "Q", accumulate(map(len, pieces[:-1]), initial=self.locs[i]))
+            token = pieces[0]
+        return token
 
     def error(self, i, message, category=None):
-        raise ParseError(message, *unpack_loc(self.locate(self.starts[i])), category)
+        raise ParseError(message, *unpack_loc(self.locs[i]), category)
 
     def expect(self, i, op):
         """Index after token i, which must be `op`."""
         if self.vals[i] != op:
-            self.error(i, f"expected {op!r}, got {_shown(self.vals[i])!r}")
+            self.error(i, f"expected {op!r}, got {_shown(self.lexeme(i))!r}")
         return i + 1
 
     def ident(self, i, what):
         """Token i, which must be an identifier and not a reserved word."""
-        token = self.vals[i]
+        token = self.lexeme(i)
         if token[:1] not in _IDENT_START:
             self.error(i, f"expected {what}, got {_shown(token)!r}")
         if token in _KEYWORDS:
@@ -161,14 +194,15 @@ class _Parser:
         # Bracket depth before each token, where a closer at depth 0
         # leaves it at 0. The depth is 0 exactly where the unclamped
         # running sum is at most 0 and at its running minimum.
-        depth = list(accumulate(
-            map(_DEPTH_STEP.get, vals[:i + 1], repeat(0)), initial=0))
+        steps = _DepthSteps(_DEPTH_STEP)
+        depth = list(accumulate(map(steps.__getitem__, vals[:i + 1]), initial=0))
         low = list(accumulate(depth, min))
         for at in found:
             if depth[at] > 0 or depth[at] != low[at]:
                 continue
             name = vals[at + 1]
-            if (name[:1] in _IDENT_START and name not in _KEYWORDS
+            if (name[:1] in _IDENT_START and name[-1] != "("
+                    and name not in _KEYWORDS
                     and vals[at + 2] == "/" and vals[at + 3][:1].isdigit()):
                 if name in self.signature:
                     self.error(at + 1, f"agent {name!r} declared twice")
@@ -180,6 +214,9 @@ class _Parser:
 
     def parse_file(self) -> InteractionSystem:
         self.declare_agents()
+        agents = self.signature._by_name
+        # Term heads: each agent's name, and its name with its `(`.
+        self.heads = {**agents, **{name + "(": sym for name, sym in agents.items()}}
         vals = self.vals
         rules = RuleSet()
         nets = {}
@@ -193,20 +230,20 @@ class _Parser:
                     self.error(i, "expected arity")
                 i += 1
             elif item == "rule":
-                loc = self.locate(self.starts[i])
+                loc = self.locs[i]
                 left, i = self.rule_side(i + 1)
                 right, i = self.rule_side(self.expect(i, "><"))
                 rules.add(Rule(left, right, loc=loc))
             elif item == "net":
-                at = self.starts[i]  # the net's terms move the index
+                loc = self.locs[i]
                 name, config, i = self.net(i + 1)
                 if name in nets:
                     shown = f"net {name!r}" if name else "anonymous net"
-                    raise ParseError(f"duplicate {shown}",
-                                     *unpack_loc(self.locate(at)))
+                    raise ParseError(f"duplicate {shown}", *unpack_loc(loc))
                 nets[name] = config
-            else:
+            elif self.lexeme(i) == item:
                 self.error(i, "expected 'agent', 'rule', or 'net'")
+            # else token i was split into its lexemes: dispatch on the first
         return InteractionSystem(self.signature, rules, nets)
 
     def rule_side(self, i):
@@ -226,7 +263,7 @@ class _Parser:
         return RuleSide(sym, templates), self.expect(i, "]")
 
     def net(self, i):
-        vals, starts = self.vals, self.starts
+        vals, locs = self.vals, self.locs
         name = ""
         if vals[i][:1] in _IDENT_START:
             name = self.ident(i, "net name")
@@ -234,7 +271,7 @@ class _Parser:
         i = self.expect(i, "{")
         equations = []
         while vals[i] != "}":
-            loc = self.locate(starts[i])
+            loc = locs[i]
             lhs, i = self.term(i)
             rhs, i = self.term(self.expect(i, "="))
             i = self.expect(i, ";")
@@ -244,7 +281,7 @@ class _Parser:
     def trimmed(self, i):
         """Delete the tokens before index i, which is then 0; return it
         and `trim_at`, the index to trim at next."""
-        del self.vals[:i], self.starts[:i]
+        del self.vals[:i], self.locs[:i]
         self.trim_at = max(_TOKEN_WINDOW, len(self.vals) >> 1)
         return 0, self.trim_at
 
@@ -255,13 +292,15 @@ class _Parser:
         keeps each open application `(symbol, needed, loc, args)` on a
         stack. `args` is None until the application's first `,`, then a
         list of the arguments before the last `,`; its `)` builds the
-        term's list by concatenation, so it has exactly its length.
+        term's list by concatenation, so it has exactly its length. A
+        head with its `(` opens an application in one token, and a run
+        of `)`s closes as many as it holds. What the term leaves of a run
+        stays the current token, its location moved past the `)`s used.
         Once index i reaches `trim_at`, the tokens before it are deleted
         (`trimmed`), in the loop that opens terms and in the one that
         closes them.
         """
-        vals, starts, line_ends, agents = (self.vals, self.starts, self.line_ends,
-                                           self.signature._by_name)
+        vals, locs, heads = self.vals, self.locs, self.heads
         trim_at = self.trim_at
         stack = []
         while True:
@@ -272,12 +311,10 @@ class _Parser:
             if needed:
                 i += 1
                 token = vals[i]
-            offset = starts[i]
-            line = bisect_right(line_ends, offset)
-            loc = line << 32 | offset - line_ends[line - 1]
-            sym = agents.get(token)
+            loc = locs[i]
+            sym = heads.get(token)
             if sym is None:
-                self.ident(i, "agent or name")
+                token = self.ident(i, "agent or name")
                 if needed:
                     self.error(i, f"needed marker on name {token!r}; "
                                   f"only agents can be marked needed",
@@ -287,12 +324,17 @@ class _Parser:
                     self.error(i, f"{token!r} is a name and cannot take "
                                   f"arguments", ARGS_ON_NAME)
                 term = NameTerm(token, loc)
-            elif vals[i + 1] == "(":
-                i += 2
-                if vals[i] != ")":
+            elif token[-1] == "(" or vals[i + 1] == "(":
+                i += 1 if token[-1] == "(" else 2
+                token = vals[i]
+                if token[:1] != ")":
                     stack.append((sym, needed, loc, None))
                     continue
-                i += 1
+                if len(token) == 1:
+                    i += 1
+                else:  # the rest of the run stays the current token
+                    vals[i] = token[1:]
+                    locs[i] += 1
                 term = AgentTerm(sym, [], needed, loc)
             else:
                 i += 1
@@ -311,12 +353,22 @@ class _Parser:
                     else:
                         args.append(term)
                     break  # parse the next argument
-                if token != ")":
-                    self.error(i, f"expected ',' or ')', got {_shown(token)!r}")
+                if token[:1] != ")":
+                    self.error(i, f"expected ',' or ')', "
+                                  f"got {_shown(self.lexeme(i))!r}")
+                left = len(token)
+                while True:
+                    sym, needed, loc, args = stack.pop()
+                    term = AgentTerm(sym, [term] if args is None else args + [term],
+                                     needed, loc)
+                    left -= 1
+                    if not left or not stack:
+                        break
+                if left:  # the term is whole; the caller reads the rest
+                    vals[i] = token[:left]
+                    locs[i] += len(token) - left
+                    return term, i
                 i += 1
-                sym, needed, loc, args = stack.pop()
-                term = AgentTerm(sym, [term] if args is None else args + [term],
-                                 needed, loc)
             else:
                 return term, i
 

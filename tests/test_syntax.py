@@ -177,6 +177,33 @@ PARSE_ERRORS = [
      "1:10: unexpected character '\\x0b'"),
     ("missing_comma_across_comment", "agent A/2\nnet { A(x,#c\ny) = A(x y); }",
      "3:10: expected ',' or ')', got 'y'"),
+    # Where the scanner reads a head with its `(`, or a run of `)`, as one
+    # token: each message names and points at the lexeme it would alone.
+    ("open_after_agent_name", "agent A(/1", "1:8: expected '/', got '('"),
+    ("open_after_agent_name_twice", "agent A(/1 agent A(/1",
+     "1:8: expected '/', got '('"),
+    ("open_after_net_name", "agent A/1\nnet A( { }", "2:6: expected '{', got '('"),
+    ("closers_past_the_equation", "agent A/1\nnet { A(x)) = x; }",
+     "2:11: expected '=', got ')'"),
+    ("closers_past_the_side", "agent A/1\nnet { x = A(A(x))); }",
+     "2:18: expected ';', got ')'"),
+    ("closers_after_a_name", "agent A/1\nnet { A(x) = x )); }",
+     "2:16: expected ';', got ')'"),
+    ("closer_on_the_next_line", "agent A/1\nnet { A(x)\n  ) = x; }",
+     "3:3: expected '=', got ')'"),
+    ("reserved_word_applied", "agent A/1\nnet { rule(x) = A; }",
+     "2:7: 'rule' is a reserved word"),
+    ("needed_name_applied", "agent A/1\nnet { !x(A) = A; }",
+     "2:8: NeededOnName: needed marker on name 'x'; only agents can be marked needed"),
+    ("empty_args_on_name", "agent A/0\nnet { A() = B(); }",
+     "2:14: ArgsOnName: 'B' is a name and cannot take arguments"),
+    ("applied_agent_after_argument", "agent A/1\nnet { A(x) = A(x B(y)); }",
+     "2:18: expected ',' or ')', got 'B'"),
+    ("rule_side_opened_with_paren", "agent A/1 rule A[x] >< A(x)",
+     "1:25: expected '[', got '('"),
+    ("rule_keyword_applied", "rule(", "1:5: expected agent name, got '('"),
+    ("agent_keyword_applied", "agent(", "1:6: expected agent name, got '('"),
+    ("net_keyword_applied", "net(", "1:4: expected '{', got '('"),
 ]
 
 
@@ -196,6 +223,8 @@ PARSES = [
     ("only_trivia", " \t\r\n# c\n\n# d", ""),
     ("name_then_comment", "agent A/0\nnet { A#c\n= A; }",
      "agent A/0\nnet {\n  A = A;\n}\n"),
+    ("trivia_between_head_and_paren", "agent A/1\nnet { A (x) = x; }",
+     "agent A/1\nnet {\n  A(x) = x;\n}\n"),
 ]
 
 
@@ -482,9 +511,9 @@ def test_a_duplicate_net_after_the_token_window(first, second, name):
 def test_parse_holds_no_consumed_tokens_and_format_about_its_text():
     # Parse deletes the tokens it has consumed, and format joins its parts
     # in bounded chunks, so neither keeps scratch that grows with the input
-    # beyond what it returns; parse keeps one int per newline offset. Kept
-    # to the end, this input's tokens would take 0.65 MB over the parsed
-    # system, and a part list for the whole text 5.9 times the text.
+    # beyond what it returns. Kept to the end, this input's tokens would
+    # take 0.41 MB over the parsed system, and a part list for the whole
+    # text 5.9 times the text.
     flat = "".join(f"A(x{k}, !S(y{k})) = S(A(y{k}, x{k}));\n" for k in range(1000))
     deep = "S(" * 10000 + "Z" + ")" * 10000
     text = f"agent Z/0 agent S/1 agent A/2\nnet n {{\n{flat}{deep} = A(u, v);\n}}\n"
@@ -497,7 +526,7 @@ def test_parse_holds_no_consumed_tokens_and_format_about_its_text():
         format_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak - held < 64 * 1024 + 40 * text.count("\n")
+    assert peak - held < 64 * 1024
     assert printed.count("\n") == 1000
     assert format_peak < 2 * sys.getsizeof(printed) + 64 * 1024
 
