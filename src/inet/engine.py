@@ -40,8 +40,11 @@ rule into `RuntimeNet.programs`, so no step looks up or compiles a rule,
 and the kernel a program holds is generated once per process for each
 rule shape, the rule's creation sequence with its symbols left out. The
 kernel makes one equation, agent or wire pair per template occurrence,
-in locals, so an interaction's cost is its program's `ops` plus its
-enqueues. Each pop dispatches on the entry's exact class and builds no
+in locals, with `object.__new__` and a store per slot, and calls no
+constructor, so an interaction's cost is its program's `ops` plus its
+enqueues. Kernels, steps and a FIFO `run` push and pop the queue inline,
+so a pop opens no frame but `process_entry` and its kernel or wire
+classifier. Each pop dispatches on the entry's exact class and builds no
 trace text unless the run traces; a traced run hands each step's line to
 its sink as the step ends and keeps none. Classifying a wire equation
 also reads the graph: it runs a climb from the wire's partner and a walk
@@ -214,6 +217,11 @@ class _Queue:
     with the last one. The entries are kept in a `deque` while pops are
     FIFO and in a `list` while they are drawn, so both pops are O(1); a
     pop of the other kind converts them once, in order.
+
+    The hot paths inline these methods on `_items`, with the same dedup
+    and gauge: a kernel's enqueues and `process_entry`'s delegation,
+    splice and plumb push as `push` does, and a FIFO `run` pops as
+    `pop()` does. `load`, `_switch_to_full` and shuffled runs call them.
     """
 
     def __init__(self):
@@ -537,9 +545,12 @@ def compile_rule(rule, swapped):
 
 # The source a kernel runs: a prologue, one piece per instruction, an
 # epilogue and the enqueues. A piece is formatted with (register, a, owner, slot,
-# mark), where `a` is the root (_EQ), the symbol's index (_AGENT), the
-# pair id (_WIRE) or the waiting half's register (_REWIRE), and `mark`
-# is `keep` or `False`: numbers and fixed names, nothing of the input.
+# mark, empty), where `a` is the root (_EQ), the symbol's index (_AGENT), the
+# pair id (_WIRE) or the waiting half's register (_REWIRE), `mark`
+# is `keep` or `False`, and `empty` is one `None` per slot of the agent
+# (_AGENT): numbers and fixed names, nothing of the input. Each node is
+# allocated with `new`, which is `object.__new__`, and gets every slot its
+# class's `__init__` sets.
 _PROLOGUE = """def fire(net, q, S):
     {}r0, r1 = q.children
     q.children = None
@@ -556,21 +567,33 @@ _PROLOGUE = """def fire(net, q, S):
 """
 _PIECES = {
     _EQ: """    x{0} = r{1}[{2}]
-    g{0} = EquationNode(x{0})
+    g{0} = new(EquationNode)
+    g{0}.children = [x{0}, None]
+    g{0}.in_queue = False
+    g{0}.terminal = None
     if x{0}.__class__ is not AgentTerm:
         x{0}.parent = g{0}
 """,
-    _AGENT: """    g{0} = AgentNode(S{1}, {4})
-    g{2}.children[{3}] = g{0}
+    _AGENT: """    g{0} = new(AgentNode)
+    g{0}.symbol = S{1}
+    g{0}.children = [{5}]
     g{0}.parent = g{2}
+    g{0}.needed = {4}
+    g{0}.in_queue = False
+    g{2}.children[{3}] = g{0}
 """,
     _WIRE: """    p = {1}
-    g{0} = WireHalf(None, p)
-    w = WireHalf(None, p)
-    w.partner = g{0}
+    g{0} = new(WireHalf)
+    w = new(WireHalf)
     g{0}.partner = w
-    g{2}.children[{3}] = w
+    g{0}.parent = None
+    g{0}.label = None
+    g{0}.pair_id = p
+    w.partner = g{0}
     w.parent = g{2}
+    w.label = None
+    w.pair_id = p
+    g{2}.children[{3}] = w
 """,
     _REWIRE: """    g{2}.children[{3}] = g{1}
     g{1}.parent = g{2}
@@ -600,7 +623,11 @@ def _kernel(shape):
     by dropping their child lists, so that nothing keeps the roots,
     builds each new equation, agent and wire pair in a local, places
     it, and enqueues inline (needed agents first, then equations, as
-    `_Queue.push` would, each adding one to the gauge). It writes no
+    `_Queue.push` would, each adding one to the gauge). A node is
+    allocated without its constructor and its slots are stored one by
+    one, so a firing opens no frame but the kernel's own; an agent's
+    child list has one slot per template argument, which validation has
+    matched to the symbol's arity. It writes no
     step counter: `process_entry` counts the step. A side may be a held
     input term: its `args` are read as a node's children are, and a held
     argument goes onto its new equation's side as it is. Template `!`
@@ -615,6 +642,11 @@ def _kernel(shape):
     pieces = []
     eqs = []  # [register, its right side is a `!` agent]
     marked = []  # registers of the `!` agents
+    arity = {}  # register -> the slots that instructions fill in it
+    for k in range(0, len(shape), 4):
+        if shape[k] != _EQ:
+            owner = shape[k + 2]
+            arity[owner] = arity.get(owner, 0) + 1
     agents = pairs = reg = 0
     ops = 3
     for k in range(0, len(shape), 4):
@@ -633,7 +665,8 @@ def _kernel(shape):
         elif op == _WIRE:
             a = f"pid + {pairs}" if pairs else "pid"
             pairs += 1
-        pieces.append(_PIECES[op].format(reg, a, owner, slot, mark))
+        empty = ", ".join(["None"] * arity.get(reg, 0))
+        pieces.append(_PIECES[op].format(reg, a, owner, slot, mark, empty))
         reg += op != _REWIRE
     symbols = "".join(f"S{i}, " for i in range(agents))
     pieces.insert(0, _PROLOGUE.format(f"{symbols}= S\n    " if agents else ""))
@@ -649,7 +682,7 @@ def _kernel(shape):
     pieces.append(f"        net._window_ops += {ops + len(eqs)}\n")
     namespace = {"AgentNode": AgentNode, "AgentTerm": AgentTerm,
                  "EquationNode": EquationNode, "WireHalf": WireHalf,
-                 "FULL": FULL}
+                 "FULL": FULL, "new": object.__new__}
     exec("".join(pieces), namespace)
     # Popped, so the kernel is not in a cycle with its own globals.
     known = _KERNELS[shape] = namespace.pop("fire"), ops
@@ -717,12 +750,15 @@ def process_entry(net, entry, config):
     `config.max_steps`), adds one to `steps` and to its kind's counter,
     and runs. An interaction fires the rule's kernel. An
     indirection moves `other`, the non-wire side (the right side when
-    both are wires), into the partner's slot, found by searching its
-    owner's children (at most the largest arity; not a classifier read).
+    both are wires), into the partner's slot, found by comparing its
+    owner's children with it by identity (at most the largest arity; not
+    a classifier read).
     The equation and both halves die and drop their links, so they are
     freed here, and a needed `other` re-enters the queue, since its
     demand must climb from its new position. A delegation marks the
-    parent agent needed and enqueues it.
+    parent agent needed and enqueues it. These pushes, and the plumb's,
+    are inline, with `_Queue.push`'s dedup and its one gauge op each, so
+    a step opens no frame but its kernel or `_partner_inside`.
 
     Only an equation's own pop kills or classifies it, and a classified
     one is never pushed again, so a popped equation is live and
@@ -764,8 +800,10 @@ def process_entry(net, entry, config):
         if owner.__class__ is EquationNode:
             # Queue plumbing, not a step: the demanded root is replaced by
             # its equation. Classified terminals never re-enter.
-            if owner.terminal is None:
-                net.queue.push(net, owner)
+            if owner.terminal is None and not owner.in_queue:
+                owner.in_queue = True
+                net.queue._items.append(owner)
+                net._window_ops += 1
             return "plumb", None
         if owner.needed:
             return "noop", None
@@ -777,8 +815,12 @@ def process_entry(net, entry, config):
     stats.steps += 1
     if entry.__class__ is not EquationNode:
         owner.needed = True
-        net._window_ops += 1
-        net.queue.push(net, owner)
+        if owner.in_queue:
+            net._window_ops += 1
+        else:
+            owner.in_queue = True
+            net.queue._items.append(owner)
+            net._window_ops += 2
         stats.delegations += 1
         return "delegation", (f"{entry.symbol.name}->{owner.symbol.name}"
                               if config.trace is not None else None)
@@ -788,13 +830,21 @@ def process_entry(net, entry, config):
         return "interaction", program.label
     owner = partner.parent
     entry.children = wire.partner = partner.partner = None
-    owner.children[owner.children.index(partner)] = other
+    # By identity: `list.index` would call a held sibling's `__eq__`.
+    children = owner.children
+    k = 0
+    while children[k] is not partner:
+        k += 1
+    children[k] = other
     if other.__class__ is not AgentTerm:
         other.parent = owner
-    net._window_ops += 4
     stats.indirections += 1
-    if other.needed:
-        net.queue.push(net, other)
+    if other.needed and not other.in_queue:
+        other.in_queue = True
+        net.queue._items.append(other)
+        net._window_ops += 5
+    else:
+        net._window_ops += 4
     return "indirection", (wire.label or f"w{wire.pair_id}"
                            if config.trace is not None else None)
 
@@ -1000,6 +1050,10 @@ def run(net: RuntimeNet, config: Optional[EngineConfig] = None) -> RunResult:
     needed-mode run continued in full mode), and `max_steps` bounds
     their `steps`. A `trace` sink gets each counted step's line as soon
     as the step is done, so an interrupted run has traced every step.
+    A FIFO run pops the queue's deque inline, as `_Queue.pop()` does; a
+    shuffled one calls `_Queue.pop(rng)`. `process_entry` is looked up
+    as a module global on every pop, so a wrapper installed on the
+    module sees each step.
     """
     cfg = config or EngineConfig()
     if cfg.mode is not None and cfg.mode != net.mode:
@@ -1011,14 +1065,26 @@ def run(net: RuntimeNet, config: Optional[EngineConfig] = None) -> RunResult:
     trace = cfg.trace
     auditor = _Auditor(net) if cfg.audit else None
 
-    pop = net.queue.pop
+    queue = net.queue
+    popleft = None
+    if rng is None:
+        items = queue._items
+        if items.__class__ is not deque:
+            items = queue._items = deque(items)
+        popleft = items.popleft
     stats = net.stats
     status = "normal"
     stuck_pair = None
     while True:
-        entry = pop(rng)
-        if entry is None:
-            break
+        if popleft is not None:
+            if not items:
+                break
+            entry = popleft()
+            entry.in_queue = False
+        else:
+            entry = queue.pop(rng)
+            if entry is None:
+                break
         net._window_ops = 0
         outcome, detail = process_entry(net, entry, config=cfg)
         if net._window_ops > stats.max_ops_per_step:

@@ -69,3 +69,21 @@ def test_summary_of_one_pair_and_of_a_failed_run():
     assert row["pairs"] == 1 and row["won"] == 0
     assert row["base"] == (1.0, 1.0, 1.0) and row["new"] == (1.1, 1.1, 1.1)
     assert row["change"] == pytest.approx(0.1) and not row["worse"]
+
+
+def test_summary_of_a_metric_without_a_bound_never_flags_it():
+    # BENCHMARK.json's per-layer metrics, which `--trace` compares, have
+    # no bound: a row gives the change but is never marked worse.
+    declared = [{"name": "engine.interaction_us_p50", "better": "lower"},
+                {"name": "engine.pops", "better": "lower"}]
+    base = _runs(**{"engine.interaction_us_p50": [3.0, 3.2, 3.1],
+                    "engine.pops": [12004, 12004, 12004]})
+    new = _runs(**{"engine.interaction_us_p50": [6.0, 6.4, 6.2],
+                   "engine.pops": [12004, 12004, 12004]})
+    rows = {row["name"]: row for row in bench_pairs.summarize(base, new, declared)}
+    p50 = rows["engine.interaction_us_p50"]
+    assert p50["change"] == pytest.approx(1.0) and p50["won"] == 0
+    assert p50["bound"] is None and not p50["worse"]
+    assert "WORSE" not in bench_pairs.format_row(p50)
+    pops = rows["engine.pops"]
+    assert pops["change"] == 0 and pops["won"] == 0 and not pops["worse"]

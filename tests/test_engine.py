@@ -7,6 +7,7 @@ cross-checked against the naive AST reducer in `_oracle`.
 
 import gc
 import random
+import sys
 from collections import Counter
 from itertools import count
 from types import SimpleNamespace
@@ -215,23 +216,30 @@ def test_no_dead_node_outlives_its_step():
 def test_an_interaction_builds_no_node_for_a_held_root(monkeypatch):
     # S^n(Z) = Add(x, S(Z)); Res = x in full mode: each S-interaction
     # meets the held input term S^k(Z) and builds only its rule's Add and
-    # S, the Z-interaction builds none.
+    # S, the Z-interaction builds none. Kernels allocate with the `new`
+    # of their namespace, not through a constructor, so the kernels made
+    # here count each `new(AgentNode)`.
     rules = fixture_text("add").rsplit("net ", 1)[0]
     built = [0]
-    inner = AgentNode.__init__
 
-    def counting(self, *args):
-        built[0] += 1
-        inner(self, *args)
+    def counting_kernels(source, namespace):
+        new = namespace["new"]
 
+        def counting(cls):
+            built[0] += cls is AgentNode
+            return new(cls)
+
+        namespace["new"] = counting
+        exec(source, namespace)
+
+    monkeypatch.setattr(engine, "_KERNELS", {})
+    monkeypatch.setattr(engine, "exec", counting_kernels, raising=False)
     for n in (10, 1000):
         nat = "S(" * n + "Z" + ")" * n
         system = parse(rules + f"net add {{ {nat} = Add(x, S(Z)); Res = x; }}\n")
         net = load(system, "add", mode="full")
         built[0] = 0
-        monkeypatch.setattr(AgentNode, "__init__", counting)
         result = run(net)
-        monkeypatch.undo()
         assert result.stats.interactions == n + 1
         assert built[0] == 2 * n, n
 
@@ -867,6 +875,86 @@ def test_each_pop_counts_its_outcomes_fixed_mutations(monkeypatch):
     result = run(load(parse(MIX), "mix"), EngineConfig(strict_rules=True))
     assert result.status == "stuck"
     assert set(seen) == set(_BASE_OPS) | {"interaction", "budget", "stuck"}
+
+
+# Sources, their size arguments and modes whose FIFO runs interact on
+# held roots, splice and delegate.
+_FRAME_NETS = [(add_source, (50, 1), "full"), (delegation_chain, (50,), "needed"),
+               (comb, (20,), "full")]
+
+
+def _profiled(fn, *args, **kwargs):
+    """(fn's result, [(code, caller's code)] of each Python frame it opens).
+
+    The first frame listed is `fn`'s own.
+    """
+    opened = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            opened.append((frame.f_code, frame.f_back.f_code))
+
+    sys.setprofile(profile)
+    try:
+        return fn(*args, **kwargs), opened
+    finally:
+        sys.setprofile(None)
+
+
+# A splice into a slot after a held sibling, in both modes.
+_HELD_SIBLING = ("agent A/2 agent Z/0 agent T/0\n"
+                 "net n { !A(Z, x) = T; x = Z; }\n")
+
+
+def test_a_step_opens_no_frame_but_its_kernel_or_classifier(monkeypatch):
+    # A constructor, a queue method, a held term's `__eq__` or a helper
+    # that a step calls shows as a frame. MIX and make_case(5) add a
+    # loop, a cyclic wire, an observable pair and noops.
+    seen = Counter()
+    inner = engine.process_entry
+    classifier = engine._partner_inside.__code__
+
+    def checked(net, entry, **kwargs):
+        sides = tuple(entry.children) if entry.__class__ is EquationNode else ()
+        (outcome, detail), opened = _profiled(inner, net, entry, **kwargs)
+        assert opened[0][0] is inner.__code__
+        codes = [code for code, _ in opened[1:]]
+        if outcome == "interaction":
+            lhs, rhs = sides
+            expected = [net.programs[lhs.symbol.id, rhs.symbol.id].fire.__code__]
+        elif outcome in ("indirection", "cyclic"):
+            expected = [classifier]
+        else:
+            expected = []
+        assert codes == expected, (outcome, [code.co_name for code in codes])
+        seen[outcome] += 1
+        return outcome, detail
+
+    monkeypatch.setattr(engine, "process_entry", checked)
+    runs = [(parse(source(*args)), mode) for source, args, mode in _FRAME_NETS]
+    runs += [(parse(source), mode) for source in (MIX, _HELD_SIBLING)
+             for mode in ("needed", "full")]
+    runs += [(make_case(5), "needed")]
+    for system, mode in runs:
+        run(load(system, system.default_net_name(), mode=mode))
+    assert set(seen) == {"interaction", "indirection", "delegation", "plumb",
+                         "noop", "loop", "cyclic", "observable"}
+
+
+@pytest.mark.parametrize("source, args, mode", _FRAME_NETS)
+def test_a_fifo_run_opens_no_frame_per_pop_but_the_step(source, args, mode):
+    # Only the frames `run` opens itself count: readback's open below
+    # its own. The same net at twice the size may add only step frames.
+    run_code = engine.run.__wrapped__.__code__
+    step = engine.process_entry.__code__
+    opened = {}
+    for scale in (1, 2):
+        system = parse(source(*[arg * scale for arg in args]))
+        net = load(system, system.default_net_name(), mode=mode)
+        _, calls = _profiled(run, net)
+        opened[scale] = Counter(code for code, caller in calls if caller is run_code)
+        assert opened[scale].pop(step) == net.pop_count
+    assert opened[1] == opened[2]
 
 
 def test_delegation_chain_steps_scale_linearly():

@@ -12,8 +12,11 @@ import re
 import pytest
 
 from _oracle import reduce_full
-from inet import (EngineConfig, configs_isomorphic, engine, format_config, load,
-                  parse, run)
+from inet import (AgentTerm, EngineConfig, configs_isomorphic, engine, format_config,
+                  load, parse, run)
+from inet.fixtures import available, fixture_text
+from test_cli_golden import SOURCES
+from test_properties import make_case
 
 # Unary addition with a demand-driving `!` in one template, duplication
 # and erasure. The first sum meets its rule as `S><Add`, the second as
@@ -114,3 +117,51 @@ def test_loads_and_runs_of_one_system_add_no_kernel(mode):
         for key, program in net.programs.items():
             assert program is not first.programs[key]
             assert program.fire is first.programs[key].fire
+
+
+def _read_every_slot(equations):
+    """Read each `__slots__` name of the equations and what their right sides hold.
+
+    A new equation's left side is an argument of a killed root, which
+    an earlier step built; its right side, down to held input terms,
+    is what the firing built. An unset slot raises AttributeError.
+    """
+    read = 0
+    stack = list(equations)
+    while stack:
+        node = stack.pop()
+        for name in node.__class__.__slots__:
+            getattr(node, name)
+            read += 1
+        if node.__class__ is engine.EquationNode:
+            stack.append(node.children[1])
+        elif node.__class__ is engine.AgentNode:
+            stack += [child for child in node.children
+                      if child.__class__ is not AgentTerm]
+    return read
+
+
+@pytest.mark.parametrize("mode", ["needed", "full"])
+def test_a_kernel_leaves_no_slot_unset(mode):
+    sources = [*SOURCES.values(), *map(fixture_text, available()),
+               TEMPLATE.format(**PLAIN)]
+    systems = [parse(source) for source in sources]
+    systems += [make_case(seed) for seed in range(60)]
+    fired = read = 0
+
+    def checked(fire):
+        def fire_and_read(net, q, symbols):
+            nonlocal fired, read
+            start = len(net.equations)
+            fire(net, q, symbols)
+            fired += 1
+            read += _read_every_slot(net.equations[start:])
+
+        return fire_and_read
+
+    for system in systems:
+        net = load(system, system.default_net_name(), mode=mode)
+        for program in net.programs.values():
+            program.fire = checked(program.fire)
+        run(net, EngineConfig(max_steps=20000))
+    assert fired > 50 and read > 10 * fired

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the working tree with a git revision on one benchmark workload.
 
-    python3 tools/bench_pairs.py REV --workload W --pairs N --seconds S [--seed K]
+    python3 tools/bench_pairs.py REV --workload W --pairs N --seconds S [--seed K] [--trace]
 
 Exports REV with `git archive` into a temporary directory, then runs the
 `perfbench/run.py` of each tree `--trace 0` N times (seeds K, K+1, ...),
@@ -9,9 +9,11 @@ alternating which tree runs first in each pair. For every end-to-end
 metric that `BENCHMARK.json` declares, it prints each side's median and
 quartiles, the pairs the working tree won, the change of the median in
 percent and the metric's bound; `WORSE` marks a median worse than REV's
-by more than the bound. The last stdout line is one JSON object with
-the per-pair values of both sides. Exits 1 if a run fails or a pipeline
-is wrong.
+by more than the bound. With `--trace` both trees run `--trace 1` and
+the rows are `BENCHMARK.json`'s per-layer metrics, which have no bound,
+so no row is marked. The last stdout line is one JSON object with the
+per-pair values of both sides. Exits 1 if a run fails or a pipeline is
+wrong.
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ def export(rev, directory):
         tar.extractall(directory)
 
 
-def run_once(tree, workload, seed, seconds):
-    """One `--trace 0` run in `tree`: (metric values, pipeline ok)."""
+def run_once(tree, workload, seed, seconds, trace):
+    """One run in `tree`, traced or not: (metric values, pipeline ok)."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+               "--seed", str(seed), "--seconds", str(seconds),
+               "--trace", str(int(trace))]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     if done.returncode != 0 or not lines:
@@ -63,7 +66,8 @@ def summarize(base, new, declared):
     """One row per declared metric, from per-pair values of both sides.
 
     `base` and `new` are lists of {metric: value}, pair i of each made
-    with the same seed; `declared` is BENCHMARK.json's `end_to_end` list.
+    with the same seed; `declared` is BENCHMARK.json's `end_to_end` or
+    `per_layer` list. A metric without a `bound` is never `worse`.
     """
     rows = []
     for metric in declared:
@@ -76,10 +80,11 @@ def summarize(base, new, declared):
         n_q = quartiles([n for _, n in pairs])
         won = sum((n < b) if lower else (n > b) for b, n in pairs)
         change = (n_q[1] - b_q[1]) / b_q[1] if b_q[1] else 0.0
+        bound = metric.get("bound")
         rows.append({
             "name": name, "base": b_q, "new": n_q, "won": won,
-            "pairs": len(pairs), "change": change, "bound": metric["bound"],
-            "worse": (change if lower else -change) > metric["bound"],
+            "pairs": len(pairs), "change": change, "bound": bound,
+            "worse": bound is not None and (change if lower else -change) > bound,
         })
     return rows
 
@@ -89,9 +94,10 @@ def format_row(row):
         return f"{q[1]:.4g} [{q[0]:.4g}-{q[2]:.4g}]"
 
     flag = "  WORSE" if row["worse"] else ""
-    return (f"{row['name']:<18} {side(row['base']):>32} {side(row['new']):>32} "
+    bound = "" if row["bound"] is None else f"{row['bound']:.0%}"
+    return (f"{row['name']:<28} {side(row['base']):>32} {side(row['new']):>32} "
             f"{row['won']:>3}/{row['pairs']:<3} {row['change']:+8.1%} "
-            f"{row['bound']:>6.0%}{flag}")
+            f"{bound:>6}{flag}")
 
 
 def main(argv=None):
@@ -101,8 +107,11 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--trace", action="store_true",
+                        help="compare the per-layer metrics of traced runs")
     args = parser.parse_args(argv)
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = benchmark["per_layer" if args.trace else "end_to_end"]
 
     base, new, ok = [], [], True
     with tempfile.TemporaryDirectory() as tmp:
@@ -113,19 +122,21 @@ def main(argv=None):
             if i % 2:
                 sides.reverse()
             for tree, out in sides:
-                values, good = run_once(tree, args.workload, seed, args.seconds)
+                values, good = run_once(tree, args.workload, seed, args.seconds,
+                                        args.trace)
                 ok = ok and good
                 out.append(values)
             print(f"pair {i + 1}/{args.pairs} seed {seed} done", file=sys.stderr)
 
     print(f"{args.workload}: {args.rev} -> working tree, median [q1-q3], "
           f"{args.pairs} pairs")
-    print(f"{'metric':<18} {args.rev[:32]:>32} {'working tree':>32} "
+    print(f"{'metric':<28} {args.rev[:32]:>32} {'working tree':>32} "
           f"{'won':>7} {'change':>8} {'bound':>6}")
     for row in summarize(base, new, declared):
         print(format_row(row))
     print(json.dumps({"workload": args.workload, "rev": args.rev,
                       "seed": args.seed, "seconds": args.seconds,
+                      "trace": args.trace,
                       "base": base, "new": new, "ok": ok}))
     return 0 if ok else 1
 
