@@ -42,11 +42,13 @@ rule shape, the rule's creation sequence with its symbols left out. The
 kernel makes one equation, agent or wire pair per template occurrence,
 in locals, with `object.__new__` and a store per slot, and calls no
 constructor, so an interaction's cost is its program's `ops` plus its
-enqueues. Kernels, steps and a FIFO `run` push and pop the queue inline,
-so a pop opens no frame but `process_entry` and its kernel or wire
-classifier. Each pop dispatches on the entry's exact class and builds no
-trace text unless the run traces; a traced run hands each step's line to
-its sink as the step ends and keeps none. Classifying a wire equation
+enqueues. The queue is the net's own container, and every site pushes
+and pops it inline: `load`, the kernels and the steps push, and `run`
+pops. So a FIFO pop opens no frame but `process_entry` and its kernel or
+wire classifier, and a shuffled pop one more, its draw. Each pop
+dispatches on the entry's exact class and builds no trace text unless
+the run traces; a traced run hands each step's line to its sink as the
+step ends and keeps none. Classifying a wire equation
 also reads the graph: it runs a climb from the wire's partner and a walk
 through the other side in lock step, so its reads are bounded by the
 smaller of the two. Both costs are gauged per pop: mutations in
@@ -105,9 +107,9 @@ class AgentNode:
 
     __slots__ = ("symbol", "children", "parent", "needed", "in_queue")
 
-    def __init__(self, symbol, needed, args=None):
+    def __init__(self, symbol, needed, args):
         self.symbol = symbol
-        self.children = [None] * symbol.arity if args is None else list(args)
+        self.children = list(args)
         self.parent = None
         self.needed = needed
         self.in_queue = False
@@ -141,7 +143,7 @@ class EquationNode:
 
     __slots__ = ("children", "in_queue", "terminal")
 
-    def __init__(self, lhs, rhs=None):
+    def __init__(self, lhs, rhs):
         self.children = [lhs, rhs]
         self.in_queue = False
         self.terminal = None  # None | "observable" | "cyclic"
@@ -208,66 +210,12 @@ class RunResult:
     stuck_pair: Optional[tuple] = None
 
 
-class _Queue:
-    """FIFO of needed entities with O(1) membership dedup.
-
-    Entries are AgentNodes or EquationNodes carrying an `in_queue` flag;
-    an entity is resident at most once. With an RNG, pops are uniform
-    over the current contents instead of FIFO: the drawn entry swaps
-    with the last one. The entries are kept in a `deque` while pops are
-    FIFO and in a `list` while they are drawn, so both pops are O(1); a
-    pop of the other kind converts them once, in order.
-
-    The hot paths inline these methods on `_items`, with the same dedup
-    and gauge: a kernel's enqueues and `process_entry`'s delegation,
-    splice and plumb push as `push` does, and a FIFO `run` pops as
-    `pop()` does. `load`, `_switch_to_full` and shuffled runs call them.
-    """
-
-    def __init__(self):
-        self._items = deque()
-
-    def __len__(self):
-        return len(self._items)
-
-    def push(self, net, entry) -> bool:
-        if entry.in_queue:
-            return False
-        entry.in_queue = True
-        self._items.append(entry)
-        net._window_ops += 1
-        return True
-
-    def push_front(self, entry):
-        """Return an already-popped entry to the head (budget or strict stop)."""
-        entry.in_queue = True
-        self._items.insert(0, entry)
-
-    def pop(self, rng=None):
-        items = self._items
-        if not items:
-            return None
-        if rng is None:
-            if items.__class__ is not deque:
-                items = self._items = deque(items)
-            entry = items.popleft()
-        else:
-            if items.__class__ is not list:
-                items = self._items = list(items)
-            i = rng.randrange(len(items))
-            entry = items[i]
-            items[i] = items[-1]
-            items.pop()
-        entry.in_queue = False
-        return entry
-
-    def entries(self):
-        return list(self._items)
-
-
 class RuntimeNet:
     """The mutable graph plus its queue, counters, and allocation state.
 
+    `queue` holds each needed entity, agent node or equation, at most
+    once, as its `in_queue` flag records: a `deque`, and a `list` while
+    a shuffled `run` draws from it. Every site pushes and pops it inline.
     `programs` maps each ordered pair of symbol ids a rule covers to that
     orientation's program; a pair with no entry has no rule. `load` fills
     it once the system has passed its checks, so the net reduces under
@@ -279,7 +227,7 @@ class RuntimeNet:
         self.mode = mode
         self.programs: dict[tuple, RuleProgram] = {}
         self.equations: list[EquationNode] = []
-        self.queue = _Queue()
+        self.queue = deque()
         self.stats = Stats()
         self.pop_count = 0
         self._pair_seq = 0
@@ -340,7 +288,7 @@ def instantiate(net, config):
     equal symbol that is not the declared object.
     """
     keep_needed = net.mode != FULL
-    enqueue = net.queue.push
+    enqueue = net.queue.append  # a node made here is never queued yet
     pair_id = net._pair_seq
     bindings = {}  # name -> the wire half awaiting its second occurrence
     counts = {}
@@ -356,7 +304,8 @@ def instantiate(net, config):
         eq = EquationNode(ast_eq.lhs, ast_eq.rhs)
         net.equations.append(eq)
         if not keep_needed:
-            enqueue(net, eq)
+            eq.in_queue = True
+            enqueue(eq)
         nodes = [eq]  # then the nodes built for a prefix of the path
         push((0, 1, ast_eq.rhs))
         depth, slot, t = 0, 0, ast_eq.lhs
@@ -399,7 +348,8 @@ def instantiate(net, config):
                     continue
                 node = AgentNode(sym, keep_needed, args)
                 if keep_needed:
-                    enqueue(net, node)
+                    node.in_queue = True
+                    enqueue(node)
             # Build the path's unbuilt nodes from the top down (none
             # holds a `!`: that one was built when the walk met it), then
             # place this node below the last; an agent's joins them.
@@ -600,7 +550,7 @@ _PIECES = {
 """,
 }
 _EPILOGUE = """    net.equations += ({})
-    items = net.queue._items
+    items = net.queue
     if keep:
         n = {}
 """
@@ -622,8 +572,8 @@ def _kernel(shape):
     roots' child lists into locals, kills the equation and its two roots
     by dropping their child lists, so that nothing keeps the roots,
     builds each new equation, agent and wire pair in a local, places
-    it, and enqueues inline (needed agents first, then equations, as
-    `_Queue.push` would, each adding one to the gauge). A node is
+    it, and enqueues inline on `net.queue` (needed agents first, then
+    equations, each adding one to the gauge). A node is
     allocated without its constructor and its slots are stored one by
     one, so a firing opens no frame but the kernel's own; an agent's
     child list has one slot per template argument, which validation has
@@ -757,8 +707,10 @@ def process_entry(net, entry, config):
     freed here, and a needed `other` re-enters the queue, since its
     demand must climb from its new position. A delegation marks the
     parent agent needed and enqueues it. These pushes, and the plumb's,
-    are inline, with `_Queue.push`'s dedup and its one gauge op each, so
-    a step opens no frame but its kernel or `_partner_inside`.
+    append to `net.queue` inline, skip an entry whose `in_queue` is set
+    and add one gauge op each; "stuck" and "budget" put the entry back
+    with `net.queue.insert(0, entry)`, which both containers have. So a
+    step opens no frame but its kernel or `_partner_inside`.
 
     Only an equation's own pop kills or classifies it, and a classified
     one is never pushed again, so a popped equation is live and
@@ -775,7 +727,8 @@ def process_entry(net, entry, config):
             program = net.programs.get((lhs.symbol.id, rhs.symbol.id))
             if program is None:
                 if config.strict_rules:
-                    net.queue.push_front(entry)
+                    entry.in_queue = True
+                    net.queue.insert(0, entry)
                     return "stuck", (lhs.symbol.name, rhs.symbol.name)
                 entry.terminal = "observable"
                 net._window_ops += 1
@@ -802,7 +755,7 @@ def process_entry(net, entry, config):
             # its equation. Classified terminals never re-enter.
             if owner.terminal is None and not owner.in_queue:
                 owner.in_queue = True
-                net.queue._items.append(owner)
+                net.queue.append(owner)
                 net._window_ops += 1
             return "plumb", None
         if owner.needed:
@@ -810,7 +763,8 @@ def process_entry(net, entry, config):
 
     stats = net.stats
     if config.max_steps is not None and stats.steps >= config.max_steps:
-        net.queue.push_front(entry)
+        entry.in_queue = True
+        net.queue.insert(0, entry)
         return "budget", None
     stats.steps += 1
     if entry.__class__ is not EquationNode:
@@ -819,7 +773,7 @@ def process_entry(net, entry, config):
             net._window_ops += 1
         else:
             owner.in_queue = True
-            net.queue._items.append(owner)
+            net.queue.append(owner)
             net._window_ops += 2
         stats.delegations += 1
         return "delegation", (f"{entry.symbol.name}->{owner.symbol.name}"
@@ -841,7 +795,7 @@ def process_entry(net, entry, config):
     stats.indirections += 1
     if other.needed and not other.in_queue:
         other.in_queue = True
-        net.queue._items.append(other)
+        net.queue.append(other)
         net._window_ops += 5
     else:
         net._window_ops += 4
@@ -981,7 +935,7 @@ class _Auditor:
                 raise AuditError(f"wire pair {pair_id} has {halves} reachable halves")
 
         queued = set()
-        for entry in net.queue.entries():
+        for entry in net.queue:
             if entry in queued:
                 raise AuditError(f"{entry!r} is resident in the queue twice")
             queued.add(entry)
@@ -1023,8 +977,10 @@ def _switch_to_full(net):
     is counted once: an observable's root pair is fixed, and a cyclic
     wire's partner stays inside the other side.
     """
-    while net.queue.pop() is not None:
-        pass
+    queue = net.queue
+    for entry in queue:
+        entry.in_queue = False
+    queue.clear()
     net.mode = FULL
     for eq in net.live_equations():
         stack = list(eq.children)
@@ -1034,7 +990,8 @@ def _switch_to_full(net):
                 node.needed = False
                 stack.extend(node.children)
         if eq.terminal is None:
-            net.queue.push(net, eq)
+            eq.in_queue = True
+            queue.append(eq)
 
 
 _COUNTED = frozenset({"interaction", "indirection", "delegation"})
@@ -1050,10 +1007,14 @@ def run(net: RuntimeNet, config: Optional[EngineConfig] = None) -> RunResult:
     needed-mode run continued in full mode), and `max_steps` bounds
     their `steps`. A `trace` sink gets each counted step's line as soon
     as the step is done, so an interrupted run has traced every step.
-    A FIFO run pops the queue's deque inline, as `_Queue.pop()` does; a
-    shuffled one calls `_Queue.pop(rng)`. `process_entry` is looked up
-    as a module global on every pop, so a wrapper installed on the
-    module sees each step.
+    A FIFO run pops `net.queue` with a bound `deque.popleft`; a shuffled
+    one makes it a `list` and pops a drawn entry after swapping it with
+    the last, so its pop opens one frame, the draw. Each shuffled run
+    draws from a fresh `random.Random(shuffle_seed)`, so a stopped one,
+    continued, follows another schedule than the uninterrupted run; a
+    FIFO run continues exactly.
+    `process_entry` is looked up as a module global on every pop, so a
+    wrapper installed on the module sees each step.
     """
     cfg = config or EngineConfig()
     if cfg.mode is not None and cfg.mode != net.mode:
@@ -1066,25 +1027,31 @@ def run(net: RuntimeNet, config: Optional[EngineConfig] = None) -> RunResult:
     auditor = _Auditor(net) if cfg.audit else None
 
     queue = net.queue
-    popleft = None
     if rng is None:
-        items = queue._items
-        if items.__class__ is not deque:
-            items = queue._items = deque(items)
-        popleft = items.popleft
+        if queue.__class__ is not deque:
+            queue = net.queue = deque(queue)
+        popleft = queue.popleft
+    else:
+        if queue.__class__ is not list:
+            queue = net.queue = list(queue)
+        draw = rng._randbelow  # for n > 0 it draws what `randrange(n)` does
     stats = net.stats
     status = "normal"
     stuck_pair = None
+    # Not `while queue:`: CPython 3.11 warms a loop up within one call
+    # only at a `JUMP_BACKWARD`, so that form left a run called once, as
+    # `inet run` calls it, unspecialised and about 25% slower.
     while True:
-        if popleft is not None:
-            if not items:
-                break
+        if not queue:
+            break
+        if rng is None:
             entry = popleft()
-            entry.in_queue = False
         else:
-            entry = queue.pop(rng)
-            if entry is None:
-                break
+            i = draw(len(queue))
+            entry = queue[i]
+            queue[i] = queue[-1]
+            queue.pop()
+        entry.in_queue = False
         net._window_ops = 0
         outcome, detail = process_entry(net, entry, config=cfg)
         if net._window_ops > stats.max_ops_per_step:

@@ -74,6 +74,20 @@ def graph_census(net):
     return agents, len(nodes) - agents
 
 
+def pop(net):
+    """Pop the head of the net's FIFO queue, as a FIFO `run` does."""
+    entry = net.queue.popleft()
+    entry.in_queue = False
+    return entry
+
+
+def push(net, entry):
+    """Queue `entry` at the tail, as a step does, unless it is resident."""
+    if not entry.in_queue:
+        entry.in_queue = True
+        net.queue.append(entry)
+
+
 def test_load_omega_graph_shape(omega_system):
     config = omega_system.get_net("omega")
     expected_agents = count_ast_agents(config)  # independent AST-level count
@@ -83,7 +97,7 @@ def test_load_omega_graph_shape(omega_system):
     assert agents == expected_agents
     assert halves == 4  # two wires: x and y
     assert len(net.live_equations()) == 1
-    entries = net.queue.entries()
+    entries = list(net.queue)
     assert len(entries) == 1
     assert isinstance(entries[0], AgentNode)
     assert entries[0].symbol.name == "P" and entries[0].needed
@@ -91,7 +105,7 @@ def test_load_omega_graph_shape(omega_system):
 
 def test_load_add_initial_demand(add_system):
     net = load(add_system, "one_plus_one")
-    entries = net.queue.entries()
+    entries = list(net.queue)
     assert [e.symbol.name for e in entries] == ["Res"]
 
 
@@ -204,7 +218,7 @@ def test_no_dead_node_outlives_its_step():
         for source in stepped:
             net = load(parse(source), mode="full")
             while net.queue:
-                process_entry(net, net.queue.pop(), EngineConfig())
+                process_entry(net, pop(net), EngineConfig())
                 census(net)
             assert net.stats.indirections > 0
     finally:
@@ -304,19 +318,19 @@ def test_load_validates_only_after_its_own_check_flags(monkeypatch):
 
 def test_process_entry_delegation_then_plumbing(omega_system):
     net = load(omega_system, "omega")
-    p_node = net.queue.pop()
+    p_node = pop(net)
     traced = EngineConfig(trace=[].append)
     outcome, detail = process_entry(net, p_node, traced)
     assert (outcome, detail) == ("delegation", "P->R0")
     assert net.stats.delegations == 1 and net.stats.steps == 1
     # Re-demanding a node whose parent is already marked is a no-op.
-    net.queue.push(net, p_node)
-    r0 = net.queue.pop()
+    push(net, p_node)
+    r0 = pop(net)
     assert r0.symbol.name == "R0" and r0.needed
     outcome, detail = process_entry(net, r0, traced)
     assert outcome == "plumb"
     assert net.stats.steps == 1  # plumbing is not a step
-    outcome, _ = process_entry(net, net.queue.pop(), traced)
+    outcome, _ = process_entry(net, pop(net), traced)
     assert outcome == "noop"
     assert net.stats.delegations == 1
 
@@ -449,7 +463,7 @@ def test_shuffled_run_stopped_by_budget_continues_in_full_mode():
     net = load(system, mode="full")
     partial = run(net, EngineConfig(shuffle_seed=3, max_steps=8))
     assert partial.status == "step_limit"
-    assert net.queue._items.__class__ is list and len(net.queue) == 2
+    assert net.queue.__class__ is list and len(net.queue) == 2
     continued = run(net, EngineConfig(mode="full", audit=True))
     scratch = run(load(system, mode="full"), EngineConfig(mode="full"))
     assert continued.status == scratch.status == "normal"
@@ -732,50 +746,80 @@ def test_demand_flows_through_wire_chains():
     assert format_config(result.residual) == ""
 
 
-def test_queue_dedup_on_push(add_system):
-    net = load(add_system, "one_plus_one")
-    node = net.queue.entries()[0]
-    # Pushing a resident entry changes nothing.
-    before = len(net.queue)
-    pushed = net.queue.push(net, node)
-    assert not pushed and len(net.queue) == before
-    # Once popped it may be pushed again, exactly once.
-    assert net.queue.pop() is node
-    assert net.queue.push(net, node)
-    assert not net.queue.push(net, node)
-    assert len(net.queue) == before
+def test_queue_dedup_on_push(omega_system):
+    # A delegation marks its parent and pushes it unless it is resident:
+    # one op for the mark and one for the push. No step of a consistent
+    # net delegates to a queued parent, so the test queues the parent,
+    # and clears its mark before each delegation, by hand.
+    net = load(omega_system, "omega")
+    p_node = pop(net)
+    r0 = p_node.parent
+    push(net, r0)
+
+    def delegate():
+        r0.needed = False
+        net._window_ops = 0
+        assert process_entry(net, p_node, EngineConfig()) == ("delegation", None)
+        return net._window_ops
+
+    assert delegate() == 1 and list(net.queue) == [r0]
+    # Once popped it is pushed again, exactly once.
+    assert pop(net) is r0
+    assert delegate() == 2 and list(net.queue) == [r0]
+    assert delegate() == 1 and list(net.queue) == [r0]
 
 
-def _queue_pop_order(rng):
-    """Pop order of 300 entries under a fixed mix of push, push_front, pop.
+def _queue_pop_order(monkeypatch, shuffle_seed):
+    """`run`'s pop order of 300 entries under a fixed mix of pushes and pops.
 
-    About one push in nine re-pushes an earlier entry (a no-op while it
-    is resident) and one pop in five is returned with `push_front`.
+    A stub `process_entry` plays the script between `run`'s pops, on an
+    empty net: about one push in nine re-pushes an earlier entry (a
+    no-op while it is resident), and one pop in five puts its entry back
+    at the head and stops the run, as a budget stop does, so the next
+    `run` resumes from it. Every shuffled run draws from one shared
+    `random.Random(7)`.
     """
-    queue = engine._Queue()
-    net = SimpleNamespace(_window_ops=0)
+    net = load(parse("net e {}"), "e")
     entries = [SimpleNamespace(in_queue=False, n=i) for i in range(300)]
     script = random.Random(3)
+    shared = random.Random(7)
     order = []
     fresh = 0
-    while fresh < len(entries):
-        roll = script.random()
-        if roll < 0.55:
-            queue.push(net, entries[fresh])
-            fresh += 1
-        elif roll < 0.62:
-            queue.push(net, entries[script.randrange(fresh)])
-        else:
-            entry = queue.pop(rng)
-            if entry is None:
-                continue
-            if roll < 0.68:
-                queue.push_front(entry)
-            else:
-                order.append(entry.n)
-    while (entry := queue.pop(rng)) is not None:
+
+    def next_pop():
+        """Make the script's pushes up to its next pop and return that
+        pop's roll, or None once every entry has been pushed."""
+        nonlocal fresh
+        while fresh < len(entries):
+            roll = script.random()
+            if roll < 0.55:
+                push(net, entries[fresh])
+                fresh += 1
+            elif roll < 0.62:
+                push(net, entries[script.randrange(fresh)])
+            elif net.queue:  # a pop of an empty queue pops nothing
+                return roll
+        return None
+
+    roll = next_pop()
+
+    def scripted(net, entry, config):
+        nonlocal roll
+        if roll is not None and roll < 0.68:
+            entry.in_queue = True
+            net.queue.insert(0, entry)
+            roll = next_pop()
+            return "budget", None
         order.append(entry.n)
-    assert len(queue) == 0 and not any(e.in_queue for e in entries)
+        if roll is not None:
+            roll = next_pop()
+        return "noop", None
+
+    monkeypatch.setattr(engine, "process_entry", scripted)
+    monkeypatch.setattr(engine, "random", SimpleNamespace(Random=lambda seed: shared))
+    while net.queue:
+        run(net, EngineConfig(shuffle_seed=shuffle_seed))
+    assert fresh == len(entries) and not any(e.in_queue for e in entries)
     return order
 
 
@@ -829,9 +873,9 @@ _SHUFFLED_ORDER = [
 ]
 
 
-def test_queue_pop_order_is_pinned_fifo_and_shuffled():
-    assert _queue_pop_order(None) == _FIFO_ORDER
-    assert _queue_pop_order(random.Random(7)) == _SHUFFLED_ORDER
+def test_queue_pop_order_is_pinned_fifo_and_shuffled(monkeypatch):
+    assert _queue_pop_order(monkeypatch, None) == _FIFO_ORDER
+    assert _queue_pop_order(monkeypatch, 7) == _SHUFFLED_ORDER
 
 
 # A pop's mutation count is its outcome's fixed base plus one per entry
@@ -941,20 +985,51 @@ def test_a_step_opens_no_frame_but_its_kernel_or_classifier(monkeypatch):
                          "noop", "loop", "cyclic", "observable"}
 
 
+def _frames_in_run(net, config, skipped):
+    """Counter of the code of each Python frame that `run(net, config)`
+    opens below its own, leaving out the frames opened inside a frame
+    whose code is in `skipped`."""
+    run_code = engine.run.__wrapped__.__code__
+    opened = Counter()
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        up = frame.f_back
+        while up is not None and up.f_code is not run_code:
+            if up.f_code in skipped:
+                return
+            up = up.f_back
+        if up is not None:
+            opened[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        run(net, config)
+    finally:
+        sys.setprofile(None)
+    return opened
+
+
 @pytest.mark.parametrize("source, args, mode", _FRAME_NETS)
 def test_a_fifo_run_opens_no_frame_per_pop_but_the_step(source, args, mode):
-    # Only the frames `run` opens itself count: readback's open below
-    # its own. The same net at twice the size may add only step frames.
-    run_code = engine.run.__wrapped__.__code__
+    # Every frame a run opens counts but those inside a step or readback.
+    # The same net at twice the size may add only step frames, and in a
+    # shuffled run one draw per pop.
     step = engine.process_entry.__code__
-    opened = {}
-    for scale in (1, 2):
-        system = parse(source(*[arg * scale for arg in args]))
-        net = load(system, system.default_net_name(), mode=mode)
-        _, calls = _profiled(run, net)
-        opened[scale] = Counter(code for code, caller in calls if caller is run_code)
-        assert opened[scale].pop(step) == net.pop_count
-    assert opened[1] == opened[2]
+    skipped = {step, engine.readback.__wrapped__.__code__}
+    draw = random.Random()._randbelow.__code__
+    for shuffle_seed in (None, 1):
+        opened = {}
+        for scale in (1, 2):
+            system = parse(source(*[arg * scale for arg in args]))
+            net = load(system, system.default_net_name(), mode=mode)
+            opened[scale] = _frames_in_run(
+                net, EngineConfig(shuffle_seed=shuffle_seed), skipped)
+            assert opened[scale].pop(step) == net.pop_count
+            if shuffle_seed is not None:
+                assert opened[scale].pop(draw) == net.pop_count
+        assert opened[1] == opened[2], shuffle_seed
 
 
 def test_delegation_chain_steps_scale_linearly():
@@ -1006,27 +1081,42 @@ def _traced_run(net, **settings):
 def test_a_stopped_run_streams_the_trace_head_and_a_continued_one_the_rest(mode):
     systems = [parse(source) for source in SOURCES.values()]
     systems += [make_case(seed) for seed in range(40)]
-    stops = 0
+    stops = rescheduled = 0
     for system in systems:
         name = system.default_net_name()
-        # 2000 caps the random nets that diverge; a continued run stops
-        # at the same count, since the budget counts the net's steps.
-        uninterrupted = load(system, name, mode=mode)
-        whole, full = _traced_run(uninterrupted, max_steps=2000)
-        total = whole.stats.steps
-        for k in sorted({0, 1, total // 2, total - 1} & set(range(total))):
-            net = load(system, name, mode=mode)
-            stopped, head = _traced_run(net, max_steps=k)
-            assert stopped.status == "step_limit"
-            assert head == full[:k]
-            resumed, rest = _traced_run(net, max_steps=2000)
-            # The pop that met the budget pushed its entry back uncounted,
-            # so each later pop has its uninterrupted twin's ordinal.
-            assert rest == full[k:]
-            assert net.pop_count == uninterrupted.pop_count
-            assert (resumed.status, resumed.stats) == (whole.status, whole.stats)
-            stops += 1
-    assert stops > 100
+        for shuffle_seed in (None, 1):
+            # 2000 caps the random nets that diverge; a continued run stops
+            # at the same count, since the budget counts the net's steps.
+            uninterrupted = load(system, name, mode=mode)
+            whole, full = _traced_run(uninterrupted, max_steps=2000,
+                                      shuffle_seed=shuffle_seed)
+            total = whole.stats.steps
+            for k in sorted({0, 1, total // 2, total - 1} & set(range(total))):
+                net = load(system, name, mode=mode)
+                stopped, head = _traced_run(net, max_steps=k,
+                                            shuffle_seed=shuffle_seed)
+                assert stopped.status == "step_limit"
+                assert head == full[:k]
+                resumed, rest = _traced_run(net, max_steps=2000,
+                                            shuffle_seed=shuffle_seed)
+                stops += 1
+                if shuffle_seed is None:
+                    # The pop that met the budget pushed its entry back
+                    # uncounted, so each later pop has its uninterrupted
+                    # twin's ordinal.
+                    assert rest == full[k:]
+                    assert net.pop_count == uninterrupted.pop_count
+                    assert (resumed.status, resumed.stats) == (whole.status,
+                                                               whole.stats)
+                elif whole.status == "normal":
+                    # A continued shuffled run draws from a fresh generator,
+                    # so only what every schedule reaches is equal.
+                    rescheduled += rest != full[k:]
+                    assert resumed.status == "normal"
+                    assert configs_isomorphic(resumed.residual, whole.residual)
+                    assert (resumed.stats.interactions
+                            == whole.stats.interactions)
+    assert stops > 200 and rescheduled > 0
 
 
 def test_instantiated_wires_link_across_rule_sides(omega_system):
@@ -1128,12 +1218,12 @@ def _corrupt(g, case):
     elif case == "dead partner":
         g.x2.partner = None
     elif case == "one reachable half":
-        node = g.s2.children[0] = AgentNode(g.s.children[0].symbol, False)
+        node = g.s2.children[0] = AgentNode(g.s.children[0].symbol, False, [])
         node.parent = g.s2
     elif case == "needed flag cleared":
         g.s.needed = False
     elif case == "queued twice":
-        g.net.queue._items.append(g.s)
+        g.net.queue.append(g.s)
     elif case == "in_queue flag missing":
         g.s.in_queue = False
     elif case == "steps out of sum":
@@ -1149,10 +1239,10 @@ def _corrupt(g, case):
     elif case == "dead equation queued":
         dead = EquationNode(g.a, g.a)
         dead.children = None
-        g.net.queue.push(g.net, dead)
+        push(g.net, dead)
     elif case == "classified equation queued":
         g.eq1.terminal = "cyclic"
-        g.net.queue.push(g.net, g.eq1)
+        push(g.net, g.eq1)
     elif case == "term node queued in full mode":
         g.net.mode = "full"
 
@@ -1190,7 +1280,7 @@ def test_audit_rejects_each_corruption(case, message):
                         s=k.children[1], s2=s2, x2=s2.children[0])
     g.a = g.s.children[0]
     assert g.a is system.get_net("n").equations[0].lhs.args[1].args[0]
-    assert net.queue.entries() == [g.s]
+    assert list(net.queue) == [g.s]
     _corrupt(g, case)
     with pytest.raises(AuditError) as caught:
         auditor.check()

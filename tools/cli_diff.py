@@ -10,11 +10,13 @@ the calls of `tests/test_cli_golden._cases()` through that tree's own
 `tests/test_properties.make_case` (seeds 0 .. N-1, default 60). The
 random nets' sources are printed once, by the working tree, so both
 trees read the same text; their calls get `--max-steps 20000` unless
-they set a budget, since a few random nets diverge. With `--soup N`,
-each tree also runs `inet check` on N seeded random token soups
-(`soup_sources`), which reach the parser's error paths that well-formed
-nets never do; half of them open with `agent` items, so their heads are
-agents. Compares exit code, stdout, stderr and the `--stats` text of
+they set a budget, since a few random nets diverge. Every net, corpus
+and random, is also run shuffled and stopped, by its budget and by
+`--strict-rules` (`shuffled_stop_cases`), since the golden corpus stops
+only FIFO runs. With `--soup N`, each tree also runs `inet check` on N
+seeded random token soups (`soup_sources`), which reach the parser's
+error paths that well-formed nets never do; half of them open with
+`agent` items, so their heads are agents. Compares exit code, stdout, stderr and the `--stats` text of
 every call, prints the number of calls and each call that differs, and
 exits 1 on any difference or if a replay fails.
 """
@@ -41,6 +43,9 @@ SOUP_PIECES = ("A(", "x(", "S(", "(", ")", "))", ",", ";", "=", "!",
                "agent", "net", "rule", "{", "}", "[", "]", "/", "1", "><",
                "A", "x", "S", " ", " ", "\n")
 SOUP_HEADER = "agent A/1 agent S/2\n"
+# A shuffled run stopped by its budget and by a pair with no rule.
+SHUFFLED_STOPS = (["--shuffle-seed", "1", "--max-steps", "3"],
+                  ["--shuffle-seed", "1", "--strict-rules"])
 
 
 def random_sources(count):
@@ -61,6 +66,13 @@ def soup_sources(count, seed=0):
             for k in range(count)}
 
 
+def shuffled_stop_cases(keys):
+    """(file key, argv after the file) of each shuffled stop, both modes."""
+    return [(key, ["run", "--trace", "--mode", mode] + stop)
+            for key in keys for mode in ("needed", "full")
+            for stop in SHUFFLED_STOPS]
+
+
 def replay(extra, soups):
     """Replay every call in this interpreter; print the entries as JSON.
 
@@ -69,8 +81,9 @@ def replay(extra, soups):
     import test_cli_golden as golden
 
     golden.SOURCES.update(extra)
+    cases = golden._cases() + shuffled_stop_cases(golden.SOURCES)
     calls = [(key, args + CAP if key in extra and "--max-steps" not in args
-              else args) for key, args in golden._cases()]
+              else args) for key, args in cases]
     golden.SOURCES.update(soups)
     calls += [(key, ["check"]) for key in soups]
     entries = []
