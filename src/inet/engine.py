@@ -66,6 +66,9 @@ slots, so a closed term costs it two list slots per nesting level.
 Readback walks the live graph, the spine load built plus what steps
 made, and returns a held term as it is, so the residual shares held
 subterms with the input configuration and callers must not mutate them.
+Both walks build each node, wire half or term as the kernels do, with
+`object.__new__` and a store per slot, so neither opens a frame per
+object it builds.
 `load`, `run` and `readback` pause the cyclic collector
 (`core.collector_paused`): they create no cyclic garbage, and a dropped
 net unlinks its live graph, so reference counting frees it.
@@ -124,12 +127,6 @@ class WireHalf:
 
     __slots__ = ("partner", "parent", "label", "pair_id")
     needed = False  # demand never rests on a wire
-
-    def __init__(self, label, pair_id):
-        self.partner = None
-        self.parent = None
-        self.label = label
-        self.pair_id = pair_id
 
     def __repr__(self):
         return f"<wire {self.label or f'w{self.pair_id}'}>"
@@ -279,7 +276,11 @@ def instantiate(net, config):
     wire keeps its name as a label, so user names survive to the
     residual. Needed markers are dropped in full mode. The walk seeds the
     queue in creation order: each needed node as it builds it in needed
-    mode, each equation as it creates it in full mode.
+    mode, each equation as it creates it in full mode. A node or a wire
+    half is allocated with `object.__new__` and its slots stored one by
+    one, as a kernel does, so the walk calls no constructor per term; a
+    node's `children` is a new list of its term's `args`, and each
+    node's or half's parent is stored where it is placed.
 
     Returns `passed`: False if a term's symbol is not the very object
     the net's signature declares under its name, a term's argument count
@@ -288,6 +289,7 @@ def instantiate(net, config):
     equal symbol that is not the declared object.
     """
     keep_needed = net.mode != FULL
+    new = object.__new__
     enqueue = net.queue.append  # a node made here is never queued yet
     pair_id = net._pair_seq
     bindings = {}  # name -> the wire half awaiting its second occurrence
@@ -318,11 +320,13 @@ def instantiate(net, config):
                 name = t.name
                 counts[name] = counts.get(name, 0) + 1
                 node = bindings.pop(name, None)
-                if node is None:
-                    node = WireHalf(name, pair_id)
-                    other = WireHalf(name, pair_id)
+                if node is None:  # each half gets its parent where it is placed
+                    node = new(WireHalf)
+                    other = new(WireHalf)
                     node.partner = other
                     other.partner = node
+                    node.label = other.label = name
+                    node.pair_id = other.pair_id = pair_id
                     bindings[name] = other
                     pair_id += 1
             else:
@@ -346,9 +350,11 @@ def instantiate(net, config):
                         break
                     depth, slot, t = pop()
                     continue
-                node = AgentNode(sym, keep_needed, args)
+                node = new(AgentNode)  # its parent is stored below
+                node.symbol = sym
+                node.children = list(args)
+                node.needed = node.in_queue = keep_needed
                 if keep_needed:
-                    node.in_queue = True
                     enqueue(node)
             # Build the path's unbuilt nodes from the top down (none
             # holds a `!`: that one was built when the walk met it), then
@@ -356,9 +362,12 @@ def instantiate(net, config):
             owner = nodes[-1]
             for j in range(len(nodes) - 1, depth):
                 up = path[j]
-                built = AgentNode(up.symbol, False, up.args)
-                owner.children[slots[j]] = built
+                built = new(AgentNode)
+                built.symbol = up.symbol
+                built.children = list(up.args)
                 built.parent = owner
+                built.needed = built.in_queue = False
+                owner.children[slots[j]] = built
                 nodes.append(built)
                 owner = built
             owner.children[slot] = node
@@ -499,8 +508,9 @@ def compile_rule(rule, swapped):
 # pair id (_WIRE) or the waiting half's register (_REWIRE), `mark`
 # is `keep` or `False`, and `empty` is one `None` per slot of the agent
 # (_AGENT): numbers and fixed names, nothing of the input. Each node is
-# allocated with `new`, which is `object.__new__`, and gets every slot its
-# class's `__init__` sets.
+# allocated with `new`, which is `object.__new__`, and gets every slot of
+# its class stored; the half a _WIRE keeps gets its parent at its _REWIRE,
+# since validation makes each rule name occur exactly twice.
 _PROLOGUE = """def fire(net, q, S):
     {}r0, r1 = q.children
     q.children = None
@@ -536,7 +546,6 @@ _PIECES = {
     g{0} = new(WireHalf)
     w = new(WireHalf)
     g{0}.partner = w
-    g{0}.parent = None
     g{0}.label = None
     g{0}.pair_id = p
     w.partner = g{0}
@@ -707,8 +716,10 @@ def process_entry(net, entry, config):
     freed here, and a needed `other` re-enters the queue, since its
     demand must climb from its new position. A delegation marks the
     parent agent needed and enqueues it. These pushes, and the plumb's,
-    append to `net.queue` inline, skip an entry whose `in_queue` is set
-    and add one gauge op each; "stuck" and "budget" put the entry back
+    append to `net.queue` inline and add one gauge op each. All but the
+    delegation's skip an entry whose `in_queue` is set; a queued agent
+    is needed (the audit checks it), so the parent, which is not, is not
+    queued. "stuck" and "budget" put the entry back
     with `net.queue.insert(0, entry)`, which both containers have. So a
     step opens no frame but its kernel or `_partner_inside`.
 
@@ -768,13 +779,9 @@ def process_entry(net, entry, config):
         return "budget", None
     stats.steps += 1
     if entry.__class__ is not EquationNode:
-        owner.needed = True
-        if owner.in_queue:
-            net._window_ops += 1
-        else:
-            owner.in_queue = True
-            net.queue.append(owner)
-            net._window_ops += 2
+        owner.needed = owner.in_queue = True
+        net.queue.append(owner)
+        net._window_ops += 2
         stats.delegations += 1
         return "delegation", (f"{entry.symbol.name}->{owner.symbol.name}"
                               if config.trace is not None else None)
@@ -818,7 +825,10 @@ def readback(net: RuntimeNet) -> Configuration:
     it meets and keeps each unlabelled pair's name terms; those are
     named once the walk is done. The walk steps straight into a node's
     first child and keeps only its later children on a stack, so a
-    chain of one-argument nodes costs no stack entry.
+    chain of one-argument nodes costs no stack entry. Each term is
+    allocated with `object.__new__`, with `loc` None and every other
+    field stored one by one, so the walk opens no frame per term.
+    `AgentTerm` is a module global, read at each term.
 
     A held input term reads back as itself, and the walk does not enter
     it. So the residual shares held subterms with the input
@@ -828,6 +838,7 @@ def readback(net: RuntimeNet) -> Configuration:
     """
     taken = set(net.signature._by_name)
     unnamed: dict = {}  # pair id -> its name terms, in first-occurrence order
+    new = object.__new__
     equations = []
     stack = []
     push = stack.append
@@ -841,9 +852,12 @@ def readback(net: RuntimeNet) -> Configuration:
             if cls is AgentNode:
                 children = node.children
                 k = len(children)
-                term = args[j] = AgentTerm(node.symbol, [None] * k, node.needed)
+                term = args[j] = new(AgentTerm)
+                term.symbol = node.symbol
+                term.args = args = [None] * k
+                term.needed = node.needed
+                term.loc = None
                 if k:
-                    args = term.args
                     k -= 1
                     while k:
                         push((children[k], args, k))
@@ -852,7 +866,9 @@ def readback(net: RuntimeNet) -> Configuration:
                     continue
             elif cls is WireHalf:
                 label = node.label
-                term = args[j] = NameTerm(label)
+                term = args[j] = new(NameTerm)
+                term.name = label
+                term.loc = None
                 if label:
                     taken.add(label)
                 else:
@@ -945,6 +961,8 @@ class _Auditor:
             if entry.__class__ is not EquationNode:
                 if net.mode == FULL:
                     raise AuditError(f"{entry!r} is queued in full mode")
+                if not entry.needed:
+                    raise AuditError(f"{entry!r} is queued but not needed")
             elif entry.children is None:
                 raise AuditError("a dead equation is queued")
             elif entry.terminal is not None:

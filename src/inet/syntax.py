@@ -34,7 +34,9 @@ more is refused. The parser deletes the head it has consumed of both,
 once that is at least `_TOKEN_WINDOW` tokens and at least as long as the
 rest, so the tokens it keeps shrink as the terms it builds grow. A term
 keeps its head's location as it is, and a rule or an equation its first
-token's; a diagnostic decodes it.
+token's; a diagnostic decodes it. The term loop allocates each term with
+`object.__new__` and stores its fields one by one, as the engine's
+kernels build nodes, so it opens no frame per term.
 """
 
 from __future__ import annotations
@@ -302,6 +304,7 @@ class _Parser:
         """
         vals, locs, heads = self.vals, self.locs, self.heads
         trim_at = self.trim_at
+        new = object.__new__
         stack = []
         while True:
             if i >= trim_at:
@@ -323,22 +326,28 @@ class _Parser:
                 if vals[i] == "(":
                     self.error(i, f"{token!r} is a name and cannot take "
                                   f"arguments", ARGS_ON_NAME)
-                term = NameTerm(token, loc)
-            elif token[-1] == "(" or vals[i + 1] == "(":
-                i += 1 if token[-1] == "(" else 2
-                token = vals[i]
-                if token[:1] != ")":
-                    stack.append((sym, needed, loc, None))
-                    continue
-                if len(token) == 1:
-                    i += 1
-                else:  # the rest of the run stays the current token
-                    vals[i] = token[1:]
-                    locs[i] += 1
-                term = AgentTerm(sym, [], needed, loc)
+                term = new(NameTerm)
+                term.name = token
+                term.loc = loc
             else:
-                i += 1
-                term = AgentTerm(sym, [], needed, loc)
+                if token[-1] == "(" or vals[i + 1] == "(":
+                    i += 1 if token[-1] == "(" else 2
+                    token = vals[i]
+                    if token[:1] != ")":
+                        stack.append((sym, needed, loc, None))
+                        continue
+                    if len(token) == 1:
+                        i += 1
+                    else:  # the rest of the run stays the current token
+                        vals[i] = token[1:]
+                        locs[i] += 1
+                else:
+                    i += 1
+                term = new(AgentTerm)  # an agent with no arguments
+                term.symbol = sym
+                term.args = []
+                term.needed = needed
+                term.loc = loc
 
             # Attach the completed term to the enclosing applications.
             while stack:
@@ -359,8 +368,12 @@ class _Parser:
                 left = len(token)
                 while True:
                     sym, needed, loc, args = stack.pop()
-                    term = AgentTerm(sym, [term] if args is None else args + [term],
-                                     needed, loc)
+                    args = [term] if args is None else args + [term]
+                    term = new(AgentTerm)
+                    term.symbol = sym
+                    term.args = args
+                    term.needed = needed
+                    term.loc = loc
                     left -= 1
                     if not left or not stack:
                         break

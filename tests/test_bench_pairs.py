@@ -87,3 +87,35 @@ def test_summary_of_a_metric_without_a_bound_never_flags_it():
     assert "WORSE" not in bench_pairs.format_row(p50)
     pops = rows["engine.pops"]
     assert pops["change"] == 0 and pops["won"] == 0 and not pops["worse"]
+
+
+def test_summary_of_all_workloads_gives_each_its_own_table():
+    # `perfbench/run.py --workload all` prefixes each metric with its
+    # workload; each table reads its own and flags its own.
+    base = _runs(**{"add_full.run_ref_p50": [1.0, 1.0],
+                    "add_full.peak_mem_mb": [7.0, 7.0],
+                    "chain_needed.run_ref_p50": [2.0, 2.0],
+                    "chain_needed.steps_per_ref": [100.0, 100.0]})
+    new = _runs(**{"add_full.run_ref_p50": [1.5, 1.3],
+                   "add_full.peak_mem_mb": [7.0, 7.0],
+                   "chain_needed.run_ref_p50": [1.8, 1.9],
+                   "chain_needed.steps_per_ref": [110.0, 120.0]})
+    tables = bench_pairs.summarize_each(base, new, DECLARED,
+                                        ["add_full", "chain_needed"])
+    assert list(tables) == ["add_full", "chain_needed"]
+    add = {row["name"]: row for row in tables["add_full"]}
+    assert list(add) == ["run_ref_p50", "peak_mem_mb"]
+    assert add["run_ref_p50"]["change"] == pytest.approx(0.4)
+    assert add["run_ref_p50"]["worse"] and not add["peak_mem_mb"]["worse"]
+    chain = {row["name"]: row for row in tables["chain_needed"]}
+    assert list(chain) == ["run_ref_p50", "steps_per_ref"]
+    assert chain["steps_per_ref"]["won"] == 2
+    assert chain["steps_per_ref"]["change"] == pytest.approx(0.15)
+    assert not any(row["worse"] for row in chain.values())
+
+
+def test_summary_of_one_workload_reads_its_unprefixed_metrics():
+    base = _runs(run_ref_p50=[1.0, 1.2])
+    new = _runs(run_ref_p50=[0.9, 1.0])
+    (only,) = bench_pairs.summarize_each(base, new, DECLARED, ["add_full"]).values()
+    assert only == bench_pairs.summarize(base, new, DECLARED)

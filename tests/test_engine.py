@@ -38,6 +38,7 @@ from inet import (
 from inet.core import ARITY_MISMATCH, AgentSymbol, iter_terms
 from inet.engine import AgentNode, AuditError, EquationNode, WireHalf, _Auditor
 from inet.fixtures import available, comb, deep_splice, delegation_chain, fixture_text
+from inet.syntax import _TOKEN_WINDOW, _Parser
 from test_cli_golden import MIX, SOURCES
 from test_collector import add_source
 from test_properties import RANDOM_RULES, make_case
@@ -747,26 +748,22 @@ def test_demand_flows_through_wire_chains():
 
 
 def test_queue_dedup_on_push(omega_system):
-    # A delegation marks its parent and pushes it unless it is resident:
-    # one op for the mark and one for the push. No step of a consistent
-    # net delegates to a queued parent, so the test queues the parent,
-    # and clears its mark before each delegation, by hand.
+    # A delegation marks its parent and pushes it, one op for each: a
+    # queued agent is needed, so an unmarked parent is never resident.
+    # Once marked, the parent takes no second push, since the next
+    # delegation to it is a noop.
     net = load(omega_system, "omega")
     p_node = pop(net)
     r0 = p_node.parent
-    push(net, r0)
-
-    def delegate():
-        r0.needed = False
-        net._window_ops = 0
-        assert process_entry(net, p_node, EngineConfig()) == ("delegation", None)
-        return net._window_ops
-
-    assert delegate() == 1 and list(net.queue) == [r0]
-    # Once popped it is pushed again, exactly once.
-    assert pop(net) is r0
-    assert delegate() == 2 and list(net.queue) == [r0]
-    assert delegate() == 1 and list(net.queue) == [r0]
+    assert not r0.needed and not r0.in_queue and not net.queue
+    net._window_ops = 0
+    assert process_entry(net, p_node, EngineConfig()) == ("delegation", None)
+    assert net._window_ops == 2 and r0.needed and r0.in_queue
+    assert list(net.queue) == [r0]
+    net._window_ops = 0
+    assert process_entry(net, p_node, EngineConfig()) == ("noop", None)
+    assert net._window_ops == 0 and list(net.queue) == [r0]
+    _Auditor(net).check()
 
 
 def _queue_pop_order(monkeypatch, shuffle_seed):
@@ -983,6 +980,29 @@ def test_a_step_opens_no_frame_but_its_kernel_or_classifier(monkeypatch):
         run(load(system, system.default_net_name(), mode=mode))
     assert set(seen) == {"interaction", "indirection", "delegation", "plumb",
                          "noop", "loop", "cyclic", "observable"}
+
+
+@pytest.mark.parametrize("source, mode", [(delegation_chain, "needed"),
+                                          (add_source, "full")])
+def test_parse_load_and_readback_open_no_frame_per_term(source, mode):
+    # Each walk builds its terms and nodes with `object.__new__`, a C
+    # call, so the Python frames that parse, load and readback open do
+    # not grow with the input. Both sizes stay under `_TOKEN_WINDOW`
+    # tokens, so parse trims its tokens as often at either size. The
+    # chain's load builds a node per `U` and the add's readback a term
+    # per `S` its run made. A first load generates the rules' kernels.
+    load(parse(source(1)), mode=mode)
+    counts = []
+    for n in (100, 2000):
+        text = source(n)
+        assert len(_Parser(text).vals) < _TOKEN_WINDOW
+        system, parse_frames = _profiled(parse, text)
+        net, load_frames = _profiled(load, system, system.default_net_name(), mode=mode)
+        residual = run(net).residual
+        rebuilt, readback_frames = _profiled(readback, net)
+        assert format_config(rebuilt) == format_config(residual)
+        counts.append((len(parse_frames), len(load_frames), len(readback_frames)))
+    assert counts[0] == counts[1]
 
 
 def _frames_in_run(net, config, skipped):
@@ -1245,6 +1265,8 @@ def _corrupt(g, case):
         push(g.net, g.eq1)
     elif case == "term node queued in full mode":
         g.net.mode = "full"
+    elif case == "unneeded node queued":
+        push(g.net, g.k)
 
 
 @pytest.mark.parametrize("case, message", [
@@ -1266,6 +1288,7 @@ def _corrupt(g, case):
     ("dead equation queued", "a dead equation is queued"),
     ("classified equation queued", "<eq <S> = <wire y>> is queued but cyclic"),
     ("term node queued in full mode", "<!S> is queued in full mode"),
+    ("unneeded node queued", "<K> is queued but not needed"),
 ])
 def test_audit_rejects_each_corruption(case, message):
     system = parse("agent A/0 agent S/1 agent K/2\n"
@@ -1418,15 +1441,15 @@ def test_readback_skips_fresh_names_declared_as_agents():
 
 
 def test_readback_builds_only_the_terms_reduction_touched(monkeypatch):
-    built = [0]
-
     class CountingTerm(AgentTerm):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built[0] += 1
+        """Stands in for `AgentTerm` in the engine: readback builds these."""
 
-    monkeypatch.setattr(engine, "AgentTerm", CountingTerm)
     rules = fixture_text("add").rsplit("net ", 1)[0]
+    # A kernel binds `AgentTerm` when it is generated: a load makes the
+    # add rules' kernels before the patch, so that they test held terms
+    # against the real class.
+    load(parse(add_source(1)), "add")
+    monkeypatch.setattr(engine, "AgentTerm", CountingTerm)
     counts = []
     for n in (10 ** 3, 10 ** 4):
         nat = "S(" * n + "Z" + ")" * n
@@ -1434,9 +1457,10 @@ def test_readback_builds_only_the_terms_reduction_touched(monkeypatch):
         config = system.get_net("add")
         source_text = format_config(config)
         net = load(system, "add")
-        built[0] = 0
         result = run(net)
-        counts.append(built[0])
+        counts.append(sum(term.__class__ is CountingTerm
+                          for eq in result.residual.equations
+                          for side in (eq.lhs, eq.rhs) for term in iter_terms(side)))
         assert (result.stats.interactions, result.stats.indirections,
                 result.stats.delegations) == (1, 1, 1)
         # S^(n-1)(Z) = Add(n0, n1); !Res = S(n0); S^n(Z) = n1;

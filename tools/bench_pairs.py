@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the working tree with a git revision on one benchmark workload.
+"""Compare the working tree with a git revision on benchmark workloads.
 
     python3 tools/bench_pairs.py REV --workload W --pairs N --seconds S [--seed K] [--trace]
 
@@ -11,9 +11,10 @@ quartiles, the pairs the working tree won, the change of the median in
 percent and the metric's bound; `WORSE` marks a median worse than REV's
 by more than the bound. With `--trace` both trees run `--trace 1` and
 the rows are `BENCHMARK.json`'s per-layer metrics, which have no bound,
-so no row is marked. The last stdout line is one JSON object with the
-per-pair values of both sides. Exits 1 if a run fails or a pipeline is
-wrong.
+so no row is marked. `--workload all` runs every workload in each run
+and prints one table per workload, in `BENCHMARK.json`'s order. The
+last stdout line is one JSON object with the per-pair values of both
+sides. Exits 1 if a run fails or a pipeline is wrong.
 """
 
 from __future__ import annotations
@@ -89,6 +90,24 @@ def summarize(base, new, declared):
     return rows
 
 
+def summarize_each(base, new, declared, workloads):
+    """{workload: its `summarize` rows} for the runs of one `--workload`.
+
+    With more than one workload, the runs are those of `--workload all`,
+    which prefixes each metric with its workload's name and a dot.
+    """
+    tables = {}
+    for workload in workloads:
+        prefix = f"{workload}." if len(workloads) > 1 else ""
+
+        def own(runs):
+            return [{name[len(prefix):]: value for name, value in values.items()
+                     if name.startswith(prefix)} for values in runs]
+
+        tables[workload] = summarize(own(base), own(new), declared)
+    return tables
+
+
 def format_row(row):
     def side(q):
         return f"{q[1]:.4g} [{q[0]:.4g}-{q[2]:.4g}]"
@@ -112,6 +131,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     declared = benchmark["per_layer" if args.trace else "end_to_end"]
+    workloads = ([w["name"] for w in benchmark["workloads"]]
+                 if args.workload == "all" else [args.workload])
 
     base, new, ok = [], [], True
     with tempfile.TemporaryDirectory() as tmp:
@@ -128,12 +149,13 @@ def main(argv=None):
                 out.append(values)
             print(f"pair {i + 1}/{args.pairs} seed {seed} done", file=sys.stderr)
 
-    print(f"{args.workload}: {args.rev} -> working tree, median [q1-q3], "
-          f"{args.pairs} pairs")
-    print(f"{'metric':<28} {args.rev[:32]:>32} {'working tree':>32} "
-          f"{'won':>7} {'change':>8} {'bound':>6}")
-    for row in summarize(base, new, declared):
-        print(format_row(row))
+    for workload, rows in summarize_each(base, new, declared, workloads).items():
+        print(f"{workload}: {args.rev} -> working tree, median [q1-q3], "
+              f"{args.pairs} pairs")
+        print(f"{'metric':<28} {args.rev[:32]:>32} {'working tree':>32} "
+              f"{'won':>7} {'change':>8} {'bound':>6}")
+        for row in rows:
+            print(format_row(row))
     print(json.dumps({"workload": args.workload, "rev": args.rev,
                       "seed": args.seed, "seconds": args.seconds,
                       "trace": args.trace,
